@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation, one family per table
-// and figure (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured comparisons).
+// and figure (the ROADMAP's Performance section records measured
+// numbers; benchmark/README.md covers the per-layer benchmark).
 //
 //	go test -bench=. -benchmem .
 //
@@ -19,6 +19,7 @@ import (
 	"treeclock/internal/core"
 	"treeclock/internal/gen"
 	"treeclock/internal/trace"
+	"treeclock/internal/vc"
 )
 
 // traceCache memoizes generated workloads across benchmarks.
@@ -45,12 +46,15 @@ func repTrace() *trace.Trace {
 	})
 }
 
-func runPO(b *testing.B, tr *trace.Trace, po bench.PO, ck bench.Clock, analysis bool) {
+// clocks are the registry's two clock variants of each partial order.
+var clocks = []string{"tree", "vc"}
+
+func runPO(b *testing.B, tr *trace.Trace, engine string, analysis bool) {
 	b.Helper()
 	b.ReportAllocs()
-	var processing float64 // event-processing time, excluding engine setup
+	var processing float64 // event-processing time, excluding trace generation
 	for i := 0; i < b.N; i++ {
-		r := bench.Run(tr, bench.Config{PO: po, Clock: ck, Analysis: analysis})
+		r := bench.Run(tr, bench.Config{Engine: engine, Analysis: analysis})
 		processing += r.Seconds()
 	}
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/processing, "events/s")
@@ -60,10 +64,10 @@ func runPO(b *testing.B, tr *trace.Trace, po bench.PO, ck bench.Clock, analysis 
 // BenchmarkTable2 regenerates the PO rows of Table 2: compare the tc
 // and vc sub-benchmarks per partial order for the speedup.
 func BenchmarkTable2(b *testing.B) {
-	for _, po := range bench.POs {
-		for _, ck := range []bench.Clock{bench.TC, bench.VC} {
-			b.Run(po.String()+"/"+ck.String(), func(b *testing.B) {
-				runPO(b, repTrace(), po, ck, false)
+	for _, o := range bench.Orders {
+		for _, ck := range clocks {
+			b.Run(o+"-"+ck, func(b *testing.B) {
+				runPO(b, repTrace(), o+"-"+ck, false)
 			})
 		}
 	}
@@ -72,10 +76,10 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkFig6Analysis regenerates the PO+Analysis rows (Table 2's
 // second row / Figure 6's bottom panels).
 func BenchmarkFig6Analysis(b *testing.B) {
-	for _, po := range bench.POs {
-		for _, ck := range []bench.Clock{bench.TC, bench.VC} {
-			b.Run(po.String()+"/"+ck.String(), func(b *testing.B) {
-				runPO(b, repTrace(), po, ck, true)
+	for _, o := range bench.Orders {
+		for _, ck := range clocks {
+			b.Run(o+"-"+ck, func(b *testing.B) {
+				runPO(b, repTrace(), o+"-"+ck, true)
 			})
 		}
 	}
@@ -97,9 +101,9 @@ func BenchmarkFig7SyncShare(b *testing.B) {
 				Events: 150_000, Seed: 13, SyncFrac: frac,
 			})
 		})
-		for _, ck := range []bench.Clock{bench.TC, bench.VC} {
-			b.Run(lv.name+"/"+ck.String(), func(b *testing.B) {
-				runPO(b, tr, bench.HB, ck, true)
+		for _, ck := range clocks {
+			b.Run(lv.name+"/"+ck, func(b *testing.B) {
+				runPO(b, tr, "hb-"+ck, true)
 			})
 		}
 	}
@@ -111,8 +115,8 @@ func BenchmarkFig8Work(b *testing.B) {
 	tr := repTrace()
 	var tcRatio, vcRatio float64
 	for i := 0; i < b.N; i++ {
-		tc := bench.Run(tr, bench.Config{PO: bench.HB, Clock: bench.TC, Work: true})
-		vc := bench.Run(tr, bench.Config{PO: bench.HB, Clock: bench.VC, Work: true})
+		tc := bench.Run(tr, bench.Config{Engine: "hb-tree", Work: true})
+		vc := bench.Run(tr, bench.Config{Engine: "hb-vc", Work: true})
 		tcRatio = float64(tc.Work.Entries) / float64(tc.Work.Changed)
 		vcRatio = float64(vc.Work.Entries) / float64(vc.Work.Changed)
 	}
@@ -123,13 +127,13 @@ func BenchmarkFig8Work(b *testing.B) {
 // BenchmarkFig9WorkRatio regenerates Figure 9's quantity per partial
 // order: how many entries vector clocks touch per tree-clock entry.
 func BenchmarkFig9WorkRatio(b *testing.B) {
-	for _, po := range bench.POs {
-		b.Run(po.String(), func(b *testing.B) {
+	for _, o := range bench.Orders {
+		b.Run(o, func(b *testing.B) {
 			tr := repTrace()
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				tc := bench.Run(tr, bench.Config{PO: po, Clock: bench.TC, Work: true})
-				vc := bench.Run(tr, bench.Config{PO: po, Clock: bench.VC, Work: true})
+				tc := bench.Run(tr, bench.Config{Engine: o + "-tree", Work: true})
+				vc := bench.Run(tr, bench.Config{Engine: o + "-vc", Work: true})
 				ratio = float64(vc.Work.Entries) / float64(tc.Work.Entries)
 			}
 			b.ReportMetric(ratio, "VCWork/TCWork")
@@ -147,9 +151,9 @@ func BenchmarkFig10(b *testing.B) {
 			tr := cached(sc.Name+string(rune('0'+k/16)), func() *trace.Trace {
 				return sc.Fn(k, 150_000, int64(k))
 			})
-			for _, ck := range []bench.Clock{bench.TC, bench.VC} {
-				b.Run(sc.Name+"/k="+itoa(k)+"/"+ck.String(), func(b *testing.B) {
-					runPO(b, tr, bench.HB, ck, false)
+			for _, ck := range clocks {
+				b.Run(sc.Name+"/k="+itoa(k)+"/"+ck, func(b *testing.B) {
+					runPO(b, tr, "hb-"+ck, false)
 				})
 			}
 		}
@@ -168,7 +172,7 @@ func BenchmarkTable1Stats(b *testing.B) {
 }
 
 // BenchmarkAblation isolates each tree-clock mechanism on the star
-// topology (DESIGN.md §4, ablation row).
+// topology (the tcbench ablation experiment in benchmark form).
 func BenchmarkAblation(b *testing.B) {
 	tr := cached("ablation-star", func() *trace.Trace { return gen.Star(64, 150_000, 3) })
 	modes := []struct {
@@ -184,7 +188,7 @@ func BenchmarkAblation(b *testing.B) {
 			b.ReportAllocs()
 			var processing float64
 			for i := 0; i < b.N; i++ {
-				processing += bench.Run(tr, bench.Config{PO: bench.HB, Clock: bench.TC, Mode: m.mode}).Seconds()
+				processing += bench.TimeHB(tr, core.FactoryMode(nil, m.mode)).Seconds()
 			}
 			b.ReportMetric(float64(tr.Len())*float64(b.N)/processing, "events/s")
 		})
@@ -193,7 +197,7 @@ func BenchmarkAblation(b *testing.B) {
 		b.ReportAllocs()
 		var processing float64
 		for i := 0; i < b.N; i++ {
-			processing += bench.Run(tr, bench.Config{PO: bench.HB, Clock: bench.VC}).Seconds()
+			processing += bench.TimeHB(tr, vc.Factory(nil)).Seconds()
 		}
 		b.ReportMetric(float64(tr.Len())*float64(b.N)/processing, "events/s")
 	})
@@ -275,12 +279,13 @@ func BenchmarkStreaming(b *testing.B) {
 // second core to overlap decoding with analysis.
 func BenchmarkIngest(b *testing.B) {
 	modes := []struct {
-		name string
-		opts []treeclock.StreamOption
+		name   string
+		scalar bool
+		opts   []treeclock.StreamOption
 	}{
-		{"scalar", []treeclock.StreamOption{treeclock.StreamScalar()}},
-		{"batch", nil},
-		{"pipeline", []treeclock.StreamOption{treeclock.WithPipeline(4)}},
+		{"scalar", true, nil},
+		{"batch", false, nil},
+		{"pipeline", false, []treeclock.StreamOption{treeclock.WithPipeline(4)}},
 	}
 	data := streamBytes(b, treeclock.FormatText)
 	n := streamTrace().Len()
@@ -289,7 +294,7 @@ func BenchmarkIngest(b *testing.B) {
 			b.Run(name+"/"+m.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := treeclock.RunStream(name, bytes.NewReader(data), m.opts...)
+					res, err := ingest(name, data, false, m.scalar, m.opts...)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -304,19 +309,14 @@ func BenchmarkIngest(b *testing.B) {
 }
 
 // BenchmarkMaterialized is the baseline for BenchmarkStreaming: the
-// same 1M-event workload analyzed from the pre-parsed in-memory trace
-// with metadata known up front.
+// same 1M-event workload replayed from the pre-parsed in-memory trace.
 func BenchmarkMaterialized(b *testing.B) {
 	tr := streamTrace()
-	for _, info := range treeclock.EngineInfos() {
-		po, ck, ok := bench.ForNames(info.Order, info.Clock)
-		if !ok {
-			b.Fatalf("registry entry %q not known to the harness", info.Name)
-		}
-		b.Run(info.Name, func(b *testing.B) {
+	for _, name := range treeclock.Engines() {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bench.Run(tr, bench.Config{PO: po, Clock: ck, Analysis: true})
+				bench.Run(tr, bench.Config{Engine: name, Analysis: true})
 			}
 			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})

@@ -59,18 +59,39 @@ type ingestReport struct {
 	Results    []ingestResult    `json:"results"`
 }
 
-// ingestModes are the consumption strategies under comparison; the
-// option list parameterizes RunStream.
-var ingestModes = []struct {
-	name string
-	opts []treeclock.StreamOption
-}{
-	// The batch row pins WithPipeline(0): RunStream now auto-pipelines
-	// text input on multi-core hosts, and this experiment is exactly
-	// the place the synchronous and pipelined paths are compared.
-	{"scalar", []treeclock.StreamOption{treeclock.StreamScalar()}},
-	{"batch", []treeclock.StreamOption{treeclock.WithPipeline(0)}},
-	{"pipeline", []treeclock.StreamOption{treeclock.WithPipeline(4)}},
+// ingestModes are the consumption strategies under comparison.
+var ingestModes = []string{"scalar", "batch", "pipeline"}
+
+// nextOnly hides a source's batch methods behind a plain EventSource,
+// so the engine runtime falls back to its per-event loop: the scalar
+// cells.
+type nextOnly struct{ src treeclock.EventSource }
+
+func (s nextOnly) Next() (treeclock.Event, bool) { return s.src.Next() }
+func (s nextOnly) Err() error                    { return s.src.Err() }
+
+// ingestRun streams data through engine in one consumption mode. The
+// batch row pins WithPipeline(0): RunStream auto-pipelines text input
+// on multi-core hosts, and this experiment is exactly the place the
+// synchronous and pipelined paths are compared.
+func ingestRun(mode, engine string, bin bool, data []byte, opts []treeclock.StreamOption) (*treeclock.StreamResult, error) {
+	opts = append([]treeclock.StreamOption{}, opts...)
+	switch mode {
+	case "scalar":
+		var src treeclock.EventSource = treeclock.NewTraceScanner(bytes.NewReader(data))
+		if bin {
+			src = treeclock.NewBinaryTraceScanner(bytes.NewReader(data))
+		}
+		return treeclock.RunStreamSource(engine, nextOnly{src}, opts...)
+	case "batch":
+		opts = append(opts, treeclock.WithPipeline(0))
+	case "pipeline":
+		opts = append(opts, treeclock.WithPipeline(4))
+	}
+	if bin {
+		opts = append(opts, treeclock.StreamBinary())
+	}
+	return treeclock.RunStream(engine, bytes.NewReader(data), opts...)
 }
 
 // treeclockEngineOrder looks up a registry engine's partial order.
@@ -123,10 +144,10 @@ func ingestExperiment(events, repeats int, jsonPath string) {
 		formats := []struct {
 			name string
 			data []byte
-			opts []treeclock.StreamOption
+			bin  bool
 		}{
-			{"text", text.Bytes(), nil},
-			{"bin", bin.Bytes(), []treeclock.StreamOption{treeclock.StreamBinary()}},
+			{"text", text.Bytes(), false},
+			{"bin", bin.Bytes(), true},
 		}
 		for _, name := range treeclock.Engines() {
 			// The wcp engines measure both weak-clock transports; the
@@ -156,20 +177,18 @@ func ingestExperiment(events, repeats int, jsonPath string) {
 					}
 					line := fmt.Sprintf("  %-17s %-5s", label, f.name)
 					for _, mode := range ingestModes {
-						opts := append(append([]treeclock.StreamOption{}, f.opts...), mode.opts...)
-						opts = append(opts, v.opts...)
-						res := measureIngest(tr.Meta.Name, name, f.name, mode.name, f.data, opts, repeats)
+						res := measureIngest(tr.Meta.Name, name, f.name, mode, f.bin, f.data, v.opts, repeats)
 						res.Weak = v.weak
 						if first {
 							pairs, first = res.Pairs, false
 						} else if res.Pairs != pairs {
 							fmt.Fprintf(os.Stderr, "tcbench: %s/%s: %s/%s mode diverges (%d pairs, want %d)\n",
-								name, f.name, mode.name, v.weak, res.Pairs, pairs)
+								name, f.name, mode, v.weak, res.Pairs, pairs)
 							os.Exit(1)
 						}
 						report.Results = append(report.Results, res)
 						line += fmt.Sprintf("   %s %8.0f ev/ms (%5.1f ns/ev, %5.3f allocs/ev)",
-							mode.name, res.EventsPerSec/1000, res.NsPerEvent, res.AllocsPerEvent)
+							mode, res.EventsPerSec/1000, res.NsPerEvent, res.AllocsPerEvent)
 					}
 					fmt.Println(line + fmt.Sprintf("   %d pairs", pairs))
 				}
@@ -184,7 +203,7 @@ func ingestExperiment(events, repeats int, jsonPath string) {
 // measureIngest times one cell, reporting the best run and its
 // allocation count per event (via runtime.MemStats deltas; the GC's
 // own allocations make the figure an upper bound).
-func measureIngest(traceName, engine, format, mode string, data []byte, opts []treeclock.StreamOption, repeats int) ingestResult {
+func measureIngest(traceName, engine, format, mode string, bin bool, data []byte, opts []treeclock.StreamOption, repeats int) ingestResult {
 	var (
 		best   time.Duration = -1
 		allocs float64
@@ -194,7 +213,7 @@ func measureIngest(traceName, engine, format, mode string, data []byte, opts []t
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		r, err := treeclock.RunStream(engine, bytes.NewReader(data), opts...)
+		r, err := ingestRun(mode, engine, bin, data, opts)
 		el := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {

@@ -233,8 +233,9 @@ func fillMem(row *memResult, ms engine.MemStats) {
 // given compaction setting.
 func runWCPDirect[C vt.Clock[C]](w memWorkload, label string, f vt.Factory[C], events int, compact bool) memResult {
 	before := heapInUse()
-	e := wcp.NewStreaming[C](f)
-	e.Sem().SetCompaction(compact)
+	sem := wcp.NewSemantics[C]()
+	sem.SetCompaction(compact)
+	e := engine.New(sem, f)
 	e.EnableAnalysis()
 	if err := e.ProcessSource(gen.Take(w.mk(), events)); err != nil {
 		fmt.Fprintf(os.Stderr, "tcbench: %s: %v\n", label, err)
@@ -242,7 +243,7 @@ func runWCPDirect[C vt.Clock[C]](w memWorkload, label string, f vt.Factory[C], e
 	}
 	after := heapInUse() // e still referenced: retained state survives the GC
 	row := memResult{Workload: w.name, Engine: label, Events: e.Events(), HasReporter: true}
-	fillMem(&row, e.Sem().MemStats())
+	fillMem(&row, sem.MemStats())
 	if after > before {
 		row.HeapRetainedBytes = after - before
 	}

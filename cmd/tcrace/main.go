@@ -23,9 +23,8 @@
 //	tcrace -remote /run/tcraced.sock -session nightly -resume-session t.txt
 //	tcrace -daemon-stats 127.0.0.1:7455   # print daemon statistics as JSON
 //
-// Ingestion is batched by default; -scalar forces the per-event loop
-// and -pipeline N overlaps decoding with analysis through a ring of N
-// recycled batch buffers (0 picks automatically: pipelined for text
+// Ingestion is batched; -pipeline N overlaps decoding with analysis
+// through a ring of N recycled batch buffers (0 picks automatically: pipelined for text
 // input when GOMAXPROCS > 1; negative forces the synchronous path).
 // -workers N > 1 runs the sharded analysis runtime: variables
 // partition across N full engine replicas and the race checks run only
@@ -147,7 +146,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		list         = fs.Bool("list", false, "list registered engines and exit")
 		noValidate   = fs.Bool("no-validate", false, "skip incremental well-formedness checking (lock/fork/join discipline)")
 		pipeline     = fs.Int("pipeline", 0, "decode in a separate goroutine through a ring of N recycled batch buffers (0 = automatic, negative = off)")
-		scalar       = fs.Bool("scalar", false, "force the per-event streaming loop instead of batched ingestion")
 		workers      = fs.Int("workers", 1, "shard the analysis across N worker replicas (0 = GOMAXPROCS, 1 = sequential)")
 		flatWeak     = fs.Bool("flat-weak", false, "use the flat-vector weak-clock baseline for weak orders (wcp) instead of the sparse segment transport")
 		progress     = fs.Uint64("progress", 0, "print a progress line to stderr every N events (0 = off)")
@@ -231,8 +229,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case *work:
 			fmt.Fprintf(stderr, "tcrace: -work is not available for remote runs (the counters live in the daemon)\n")
 			return exitUsage
-		case *pipeline != 0 || *scalar:
-			fmt.Fprintf(stderr, "tcrace: -pipeline/-scalar tune local ingestion and do not apply to remote runs\n")
+		case *pipeline != 0:
+			fmt.Fprintf(stderr, "tcrace: -pipeline tunes local ingestion and does not apply to remote runs\n")
 			return exitUsage
 		case *internCap > 0 && *format == "bin":
 			fmt.Fprintf(stderr, "tcrace: -intern-cap requires text input\n")
@@ -274,9 +272,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			depth = 0 // explicit synchronous decode
 		}
 		opts = append(opts, treeclock.WithPipeline(depth))
-	}
-	if *scalar {
-		opts = append(opts, treeclock.StreamScalar())
 	}
 	if *flatWeak {
 		opts = append(opts, treeclock.WithFlatWeakClocks())

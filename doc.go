@@ -23,8 +23,8 @@
 //     dispatch, the per-event local-time increment, event counting,
 //     timestamps, and lazy allocation of state on first sight of an
 //     identifier.
-//   - A Semantics implementation (the plugin interface re-exported here
-//     as Semantics) contributes only the Read and Write hooks and any
+//   - A Semantics implementation (the plugin interface of
+//     internal/engine) contributes only the Read and Write hooks and any
 //     per-variable state the order needs: HB feeds the race detector,
 //     SHB adds last-write clocks, MAZ adds the read-set bookkeeping of
 //     Algorithm 5.
@@ -93,8 +93,10 @@
 // the registry-wide harnesses — TestStreamingMatchesMaterialized,
 // TestClockVariantsByteIdentical, TestSuiteAgainstOracle — then cover
 // it automatically. (3) Register "<order>-tree"/"<order>-vc" in the
-// engine registry (stream.go) and add the order to bench.ForNames so
-// cmd/tcrace, cmd/tcbench and RunStream all pick it up.
+// engine registry (engineRegistry and newStreamEngine in stream.go).
+// The registry is the only way engines are built: RunStream, Session,
+// the daemon, cmd/tcrace and cmd/tcbench all pick the order up from
+// it.
 //
 // # Streaming analysis
 //
@@ -112,8 +114,10 @@
 // are chosen by registry name — "hb-tree", "hb-vc", "shb-tree",
 // "shb-vc", "maz-tree", "maz-vc", "wcp-tree", "wcp-vc" (see Engines
 // and EngineInfos) — and the result carries the race summary, sample
-// pairs, discovered metadata and final timestamps.
-// The streaming and materialized paths are differentially tested to
+// pairs, discovered metadata and final timestamps. A materialized
+// Trace runs through the same path: RunStreamSource(name,
+// NewTraceReplayer(tr)).
+// The reader-fed and replayed paths are differentially tested to
 // produce identical race reports and timestamps, the tree-clock and
 // vector-clock variants of every order are pinned byte-identical, and
 // each order's engine is compared event-by-event against a
@@ -219,14 +223,14 @@
 // validator, the in-memory TraceReplayer) also delivers events in bulk
 // through BatchEventSource, and the engine runtime pulls batches into a
 // caller-owned buffer automatically, amortizing interface dispatch to
-// once per batch. Two RunStream knobs control the mode: StreamScalar
-// forces the per-event loop (for comparison), and WithPipeline(depth)
-// moves decoding into its own goroutine behind a ring of recycled
-// batch buffers so parsing overlaps analysis — the default for text
-// input when GOMAXPROCS > 1 (binary decode is too cheap to win the
-// hand-off, and sharded runs overlap decode in the coordinator
-// already; WithPipeline(0) or StreamScalar force the synchronous
-// path). Batches are consumed strictly in order, so every mode
+// once per batch (a source without batch support is drained one event
+// at a time). WithPipeline(depth) moves decoding into its own
+// goroutine behind a ring of recycled batch buffers so parsing
+// overlaps analysis — the default for text input when GOMAXPROCS > 1
+// (binary decode is too cheap to win the hand-off, and sharded runs
+// overlap decode in the coordinator already; WithPipeline(0) forces
+// the synchronous path). Batches are consumed strictly in order, so
+// every mode
 // produces byte-identical race reports — a property pinned by
 // differential fuzz tests across every registry engine. cmd/tcbench
 // -experiment ingest measures the modes against each other and, with
@@ -360,17 +364,17 @@
 //     the same operations (Get, Inc, Grow, Join, MonotoneCopy, ...).
 //   - Traces: Event, Trace, ParseTrace / WriteTraceText and friends,
 //     plus the streaming scanners for both formats.
-//   - Engines: RunStream with the registry for streaming use, and the
-//     pre-sized constructors NewHBTree / NewHBVector, NewSHBTree /
-//     NewSHBVector, NewMAZTree / NewMAZVector, NewWCPTree /
-//     NewWCPVector for materialized traces. Engines optionally run a
-//     FastTrack-style race analysis; WCP reports predictive races — a
-//     superset of the HB races — through the same machinery.
+//   - Engines: the registry behind RunStream, RunStreamSource and
+//     Session, selected by name; a materialized trace streams through
+//     NewTraceReplayer. Engines run a FastTrack-style race analysis by
+//     default; WCP reports predictive races — a superset of the HB
+//     races — through the same machinery.
 //   - Workload generators (GenerateMixed, scenario generators) and the
 //     experiment harness behind cmd/tcbench, which regenerates every
-//     table and figure of the paper (see DESIGN.md and EXPERIMENTS.md)
-//     and compares the streaming and materialized paths (-experiment
-//     stream).
+//     table and figure of the paper through the same registry and
+//     compares reader-fed streaming with in-memory replay (-experiment
+//     stream). The ROADMAP's Performance section records measured
+//     numbers; benchmark/README.md describes the per-layer benchmark.
 //
 // # Quickstart
 //
@@ -391,10 +395,11 @@
 //	t0 rel l0
 //	t1 r x0
 //	`)
-//	e := treeclock.NewHBTree(tr.Meta)
-//	det := e.EnableRaceDetection()
-//	e.Process(tr.Events)
-//	for _, race := range det.Acc.Samples {
+//	res, err := treeclock.RunStreamSource("hb-tree", treeclock.NewTraceReplayer(tr))
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	for _, race := range res.Samples {
 //		fmt.Println(race)
 //	}
 //

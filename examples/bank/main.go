@@ -97,18 +97,19 @@ func main() {
 	fmt.Printf("bank simulation: %d events, %d tellers + 1 auditor, %d accounts\n",
 		stats.Events, tellers, accounts)
 
-	engine := treeclock.NewSHBTree(tr.Meta)
-	det := engine.EnableRaceDetection()
-	engine.Process(tr.Events)
+	res, err := treeclock.RunStreamSource("shb-tree", treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		panic(err)
+	}
 
-	sum := det.Acc.Summary()
+	sum := res.Summary
 	if sum.Total == 0 {
 		fmt.Println("no races found")
 		return
 	}
 	fmt.Printf("found %d racy pairs on %d account(s) — the unlocked fast-path deposit:\n",
 		sum.Total, sum.Vars)
-	for i, race := range det.Acc.Samples {
+	for i, race := range res.Samples {
 		if i == 6 {
 			fmt.Println("  ...")
 			break
@@ -116,7 +117,11 @@ func main() {
 		fmt.Println(" ", race)
 	}
 	fmt.Println("\naccounts involved:")
-	for x := range det.Acc.RacyVars() {
-		fmt.Printf("  account %d\n", x)
+	seen := map[int32]bool{}
+	for _, race := range res.Samples {
+		if !seen[race.Var] {
+			seen[race.Var] = true
+			fmt.Printf("  account %d\n", race.Var)
+		}
 	}
 }

@@ -36,22 +36,22 @@ func main() {
 	fmt.Printf("trace: %d events, %d threads, %d variables, %d locks\n",
 		stats.Events, stats.Threads, stats.Vars, stats.Locks)
 
-	// Build the happens-before engine backed by tree clocks and attach
-	// the FastTrack-style race detector.
-	engine := treeclock.NewHBTree(tr.Meta)
-	det := engine.EnableRaceDetection()
-	engine.Process(tr.Events)
+	// Replay the trace through the happens-before engine backed by tree
+	// clocks; race detection (FastTrack-style) is on by default.
+	res, err := treeclock.RunStreamSource("hb-tree", treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		log.Fatalf("analyze: %v", err)
+	}
 
-	sum := det.Acc.Summary()
+	sum := res.Summary
 	fmt.Printf("races: %d total (%d w-w, %d w-r, %d r-w) on %d variable(s)\n",
 		sum.Total, sum.WriteWrite, sum.WriteRead, sum.ReadWrite, sum.Vars)
-	for _, race := range det.Acc.Samples {
+	for _, race := range res.Samples {
 		fmt.Println(" ", race)
 	}
 
 	// Each thread's final timestamp is its knowledge of every thread.
-	vec := make(treeclock.Vector, tr.Meta.Threads)
-	for t := 0; t < tr.Meta.Threads; t++ {
-		fmt.Printf("final clock of thread %d: %v\n", t, engine.Timestamp(treeclock.ThreadID(t), vec))
+	for t, vec := range res.Timestamps {
+		fmt.Printf("final clock of thread %d: %v\n", t, vec)
 	}
 }

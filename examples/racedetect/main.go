@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"treeclock"
@@ -21,47 +22,35 @@ func main() {
 	fmt.Printf("workload: %s — %d events, %d threads (%.1f%% sync)\n\n",
 		stats.Name, stats.Events, stats.Threads, stats.SyncPct)
 
-	// HB with tree clocks.
-	start := time.Now()
-	hbEngine := treeclock.NewHBTree(tr.Meta)
-	hbDet := hbEngine.EnableRaceDetection()
-	hbEngine.Process(tr.Events)
-	hbTime := time.Since(start)
-
-	// SHB with tree clocks: sound to report beyond the first race.
-	start = time.Now()
-	shbEngine := treeclock.NewSHBTree(tr.Meta)
-	shbDet := shbEngine.EnableRaceDetection()
-	shbEngine.Process(tr.Events)
-	shbTime := time.Since(start)
-
-	// The vector-clock baselines, for timing comparison.
-	start = time.Now()
-	hbVec := treeclock.NewHBVector(tr.Meta)
-	hbVecDet := hbVec.EnableRaceDetection()
-	hbVec.Process(tr.Events)
-	hbVecTime := time.Since(start)
-
-	start = time.Now()
-	shbVec := treeclock.NewSHBVector(tr.Meta)
-	shbVecDet := shbVec.EnableRaceDetection()
-	shbVec.Process(tr.Events)
-	shbVecTime := time.Since(start)
+	// HB and SHB (sound to report beyond the first race), each with
+	// tree clocks and with the vector-clock baseline for timing.
+	run := func(engine string) (*treeclock.StreamResult, time.Duration) {
+		start := time.Now()
+		res, err := treeclock.RunStreamSource(engine, treeclock.NewTraceReplayer(tr))
+		if err != nil {
+			log.Fatalf("%s: %v", engine, err)
+		}
+		return res, time.Since(start)
+	}
+	hbRes, hbTime := run("hb-tree")
+	shbRes, shbTime := run("shb-tree")
+	hbVecRes, hbVecTime := run("hb-vc")
+	shbVecRes, shbVecTime := run("shb-vc")
 
 	fmt.Println("algorithm   clock  time        races")
-	fmt.Printf("HB          tree   %-10v  %d\n", hbTime.Round(time.Millisecond), hbDet.Acc.Total)
-	fmt.Printf("HB          vector %-10v  %d\n", hbVecTime.Round(time.Millisecond), hbVecDet.Acc.Total)
-	fmt.Printf("SHB         tree   %-10v  %d\n", shbTime.Round(time.Millisecond), shbDet.Acc.Total)
-	fmt.Printf("SHB         vector %-10v  %d\n", shbVecTime.Round(time.Millisecond), shbVecDet.Acc.Total)
+	fmt.Printf("HB          tree   %-10v  %d\n", hbTime.Round(time.Millisecond), hbRes.Summary.Total)
+	fmt.Printf("HB          vector %-10v  %d\n", hbVecTime.Round(time.Millisecond), hbVecRes.Summary.Total)
+	fmt.Printf("SHB         tree   %-10v  %d\n", shbTime.Round(time.Millisecond), shbRes.Summary.Total)
+	fmt.Printf("SHB         vector %-10v  %d\n", shbVecTime.Round(time.Millisecond), shbVecRes.Summary.Total)
 
 	fmt.Println("\nsample races (SHB):")
-	for i, race := range shbDet.Acc.Samples {
+	for i, race := range shbRes.Samples {
 		if i == 5 {
 			break
 		}
 		fmt.Println(" ", race)
 	}
-	if hbDet.Acc.Total != shbVecDet.Acc.Total && hbDet.Acc.Total != shbDet.Acc.Total {
+	if hbRes.Summary.Total != shbRes.Summary.Total {
 		fmt.Println("\nnote: SHB and HB race sets differ by design — SHB adds last-write edges")
 	}
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"treeclock"
@@ -15,12 +16,12 @@ import (
 
 const eventsPerTrace = 200_000
 
-func run(tr *treeclock.Trace, useTree bool) time.Duration {
+// run times the pure happens-before computation (no race analysis)
+// with the named engine.
+func run(tr *treeclock.Trace, engine string) time.Duration {
 	start := time.Now()
-	if useTree {
-		treeclock.NewHBTree(tr.Meta).Process(tr.Events)
-	} else {
-		treeclock.NewHBVector(tr.Meta).Process(tr.Events)
+	if _, err := treeclock.RunStreamSource(engine, treeclock.NewTraceReplayer(tr), treeclock.StreamNoAnalysis()); err != nil {
+		log.Fatalf("%s: %v", engine, err)
 	}
 	return time.Since(start)
 }
@@ -31,9 +32,9 @@ func main() {
 	for _, k := range []int{10, 40, 80, 160, 240, 320} {
 		tr := treeclock.GenerateStar(k, eventsPerTrace, int64(k))
 		// Warm up once, then time.
-		run(tr, true)
-		tc := run(tr, true)
-		vc := run(tr, false)
+		run(tr, "hb-tree")
+		tc := run(tr, "hb-tree")
+		vc := run(tr, "hb-vc")
 		fmt.Printf("%7d  %12v  %10v  %6.2fx\n",
 			k, vc.Round(time.Millisecond), tc.Round(time.Millisecond),
 			float64(vc)/float64(tc))

@@ -8,16 +8,41 @@ import (
 	"treeclock"
 )
 
-// ingestModes are the three consumption strategies of the batched
-// ingestion layer; every one must be observationally identical.
+// ingestModes are the consumption strategies of the batched ingestion
+// layer; every one must be observationally identical. The scalar mode
+// hands RunStreamSource a scanner stripped of its batch methods, so
+// the engine runtime drains it one event at a time.
 var ingestModes = []struct {
-	name string
-	opts []treeclock.StreamOption
+	name   string
+	scalar bool
+	opts   []treeclock.StreamOption
 }{
-	{"scalar", []treeclock.StreamOption{treeclock.StreamScalar()}},
-	{"batch", nil},
-	{"pipeline-2", []treeclock.StreamOption{treeclock.WithPipeline(2)}},
-	{"pipeline-8", []treeclock.StreamOption{treeclock.WithPipeline(8)}},
+	{"scalar", true, nil},
+	{"batch", false, nil},
+	{"pipeline-2", false, []treeclock.StreamOption{treeclock.WithPipeline(2)}},
+	{"pipeline-8", false, []treeclock.StreamOption{treeclock.WithPipeline(8)}},
+}
+
+// nextOnly hides a source's batch methods behind a plain EventSource.
+type nextOnly struct{ src treeclock.EventSource }
+
+func (s nextOnly) Next() (treeclock.Event, bool) { return s.src.Next() }
+func (s nextOnly) Err() error                    { return s.src.Err() }
+
+// ingest streams data (binary when bin is set) through engine, either
+// per event (scalar) or through RunStream with opts.
+func ingest(engine string, data []byte, bin, scalar bool, opts ...treeclock.StreamOption) (*treeclock.StreamResult, error) {
+	if scalar {
+		var src treeclock.EventSource = treeclock.NewTraceScanner(bytes.NewReader(data))
+		if bin {
+			src = treeclock.NewBinaryTraceScanner(bytes.NewReader(data))
+		}
+		return treeclock.RunStreamSource(engine, nextOnly{src}, opts...)
+	}
+	if bin {
+		opts = append(opts[:len(opts):len(opts)], treeclock.StreamBinary())
+	}
+	return treeclock.RunStream(engine, bytes.NewReader(data), opts...)
 }
 
 // TestIngestPathsAgree is the differential acceptance test of the
@@ -53,10 +78,10 @@ func TestIngestPathsAgree(t *testing.T) {
 		formats := []struct {
 			name string
 			data []byte
-			opts []treeclock.StreamOption
+			bin  bool
 		}{
-			{"text", text.Bytes(), nil},
-			{"bin", bin.Bytes(), []treeclock.StreamOption{treeclock.StreamBinary()}},
+			{"text", text.Bytes(), false},
+			{"bin", bin.Bytes(), true},
 		}
 		for _, engine := range treeclock.Engines() {
 			for _, f := range formats {
@@ -64,8 +89,7 @@ func TestIngestPathsAgree(t *testing.T) {
 				var wantMeta treeclock.Meta
 				var wantEvents uint64
 				for i, mode := range ingestModes {
-					opts := append(append([]treeclock.StreamOption{}, f.opts...), mode.opts...)
-					res, err := treeclock.RunStream(engine, bytes.NewReader(f.data), opts...)
+					res, err := ingest(engine, f.data, f.bin, mode.scalar, mode.opts...)
 					if err != nil {
 						t.Fatalf("trial %d %s/%s/%s: %v", trial, engine, f.name, mode.name, err)
 					}
@@ -88,22 +112,13 @@ func TestIngestPathsAgree(t *testing.T) {
 	}
 }
 
-// TestIngestScalarPipelineExclusive pins the option conflict error.
-func TestIngestScalarPipelineExclusive(t *testing.T) {
-	_, err := treeclock.RunStream("hb-tree", bytes.NewReader(nil),
-		treeclock.StreamScalar(), treeclock.WithPipeline(2))
-	if err == nil {
-		t.Fatal("StreamScalar + WithPipeline accepted")
-	}
-}
-
 // TestIngestMalformedThroughPipeline checks error reporting survives
 // each consumption path (same error text, valid prefix processed).
 func TestIngestMalformedThroughPipeline(t *testing.T) {
 	input := []byte("t0 w x0\nt0 acq l0\nt0 oops x0\n")
 	var want string
 	for i, mode := range ingestModes {
-		_, err := treeclock.RunStream("shb-tree", bytes.NewReader(input), mode.opts...)
+		_, err := ingest("shb-tree", input, false, mode.scalar, mode.opts...)
 		if err == nil {
 			t.Fatalf("%s: malformed trace accepted", mode.name)
 		}

@@ -21,18 +21,18 @@ func tinyOpts() Options {
 
 func TestRunAllCombinations(t *testing.T) {
 	tr := gen.Mixed(gen.Config{Name: "combo", Threads: 6, Locks: 3, Vars: 32, Events: 3000, Seed: 1, SyncFrac: 0.3})
-	for _, po := range POs {
-		for _, ck := range []Clock{TC, VC} {
+	for _, o := range Orders {
+		for _, name := range []string{o + "-tree", o + "-vc"} {
 			for _, an := range []bool{false, true} {
-				r := Run(tr, Config{PO: po, Clock: ck, Analysis: an, Work: true})
+				r := Run(tr, Config{Engine: name, Analysis: an, Work: true})
 				if r.Events != tr.Len() {
-					t.Errorf("%v/%v: events = %d, want %d", po, ck, r.Events, tr.Len())
+					t.Errorf("%s: events = %d, want %d", name, r.Events, tr.Len())
 				}
 				if r.Work.Changed == 0 {
-					t.Errorf("%v/%v: no work recorded", po, ck)
+					t.Errorf("%s: no work recorded", name)
 				}
 				if r.Elapsed <= 0 {
-					t.Errorf("%v/%v: non-positive elapsed time", po, ck)
+					t.Errorf("%s: non-positive elapsed time", name)
 				}
 			}
 		}
@@ -41,41 +41,43 @@ func TestRunAllCombinations(t *testing.T) {
 
 func TestRunVTWorkAgreesAcrossClocks(t *testing.T) {
 	tr := gen.Mixed(gen.Config{Name: "w", Threads: 8, Locks: 4, Vars: 64, Events: 5000, Seed: 2, SyncFrac: 0.25})
-	for _, po := range POs {
-		tc := Run(tr, Config{PO: po, Clock: TC, Work: true})
-		vc := Run(tr, Config{PO: po, Clock: VC, Work: true})
+	for _, o := range Orders {
+		tc := Run(tr, Config{Engine: o + "-tree", Work: true})
+		vc := Run(tr, Config{Engine: o + "-vc", Work: true})
 		if tc.Work.Changed != vc.Work.Changed {
-			t.Errorf("%v: VTWork differs: %d vs %d", po, tc.Work.Changed, vc.Work.Changed)
+			t.Errorf("%s: VTWork differs: %d vs %d", o, tc.Work.Changed, vc.Work.Changed)
 		}
 		if tc.Work.Entries >= vc.Work.Entries {
-			t.Errorf("%v: tree clock touched %d entries, vector clock %d — no saving",
-				po, tc.Work.Entries, vc.Work.Entries)
+			t.Errorf("%s: tree clock touched %d entries, vector clock %d — no saving",
+				o, tc.Work.Entries, vc.Work.Entries)
 		}
 	}
 }
 
 func TestRunAnalysisPairsAgreeAcrossClocks(t *testing.T) {
 	tr := gen.ReadersWriters(8, 4000, 3, true)
-	for _, po := range POs {
-		tc := Run(tr, Config{PO: po, Clock: TC, Analysis: true})
-		vc := Run(tr, Config{PO: po, Clock: VC, Analysis: true})
+	for _, o := range Orders {
+		tc := Run(tr, Config{Engine: o + "-tree", Analysis: true})
+		vc := Run(tr, Config{Engine: o + "-vc", Analysis: true})
 		if tc.Pairs != vc.Pairs {
-			t.Errorf("%v: pair counts differ: %d vs %d", po, tc.Pairs, vc.Pairs)
+			t.Errorf("%s: pair counts differ: %d vs %d", o, tc.Pairs, vc.Pairs)
 		}
 		if tc.Pairs == 0 {
-			t.Errorf("%v: racy workload produced no pairs", po)
+			t.Errorf("%s: racy workload produced no pairs", o)
 		}
 	}
 }
 
 func TestRunMeanAverages(t *testing.T) {
 	tr := gen.SingleLock(4, 2000, 4)
-	r := RunMean(tr, Config{PO: HB, Clock: TC}, 3)
+	r := RunMean(tr, Config{Engine: "hb-tree"}, 3)
 	if r.Elapsed <= 0 {
 		t.Error("mean elapsed must be positive")
 	}
 }
 
+// TestRunPanicsOnBadPO: an engine name whose partial order the
+// registry does not know is a programming error.
 func TestRunPanicsOnBadPO(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -83,16 +85,7 @@ func TestRunPanicsOnBadPO(t *testing.T) {
 		}
 	}()
 	tr := gen.SingleLock(2, 100, 1)
-	Run(tr, Config{PO: PO(9), Clock: TC})
-}
-
-func TestStringers(t *testing.T) {
-	if HB.String() != "HB" || SHB.String() != "SHB" || MAZ.String() != "MAZ" || PO(9).String() != "PO?" {
-		t.Error("PO names wrong")
-	}
-	if TC.String() != "TC" || VC.String() != "VC" {
-		t.Error("Clock names wrong")
-	}
+	Run(tr, Config{Engine: "quantum-tree"})
 }
 
 func TestTable1Report(t *testing.T) {

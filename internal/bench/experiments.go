@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"text/tabwriter"
+	"time"
 
 	"treeclock/internal/core"
 	"treeclock/internal/gen"
 	"treeclock/internal/stats"
 	"treeclock/internal/trace"
+	"treeclock/internal/vc"
+	"treeclock/internal/vt"
 )
 
 // Options parameterizes the experiment reports.
@@ -80,7 +84,7 @@ func (h *Harness) Table1(w io.Writer) {
 		syncPct = append(syncPct, s.SyncPct)
 		rwPct = append(rwPct, s.RWPct)
 	}
-	fmt.Fprintln(w, "Table 1: Trace Statistics (synthetic suite; see DESIGN.md substitutions)")
+	fmt.Fprintln(w, "Table 1: Trace Statistics (synthetic suite standing in for the paper's benchmark traces)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\tMin\tMax\tMean")
 	row := func(name string, xs []float64, intLike bool) {
@@ -111,11 +115,11 @@ func (h *Harness) Table3(w io.Writer) {
 	tw.Flush()
 }
 
-// poPair measures one trace under one PO with both clocks.
-func (h *Harness) poPair(tr *trace.Trace, po PO, analysis bool) (tc, vc Result) {
-	tc = RunMean(tr, Config{PO: po, Clock: TC, Analysis: analysis}, h.Opts.Repeats)
-	vc = RunMean(tr, Config{PO: po, Clock: VC, Analysis: analysis}, h.Opts.Repeats)
-	return tc, vc
+// poPair measures one trace under one partial order with both clocks.
+func (h *Harness) poPair(tr *trace.Trace, order string, analysis bool) (tc, vcr Result) {
+	tc = RunMean(tr, Config{Engine: order + "-tree", Analysis: analysis}, h.Opts.Repeats)
+	vcr = RunMean(tr, Config{Engine: order + "-vc", Analysis: analysis}, h.Opts.Repeats)
+	return tc, vcr
 }
 
 // Table2 prints the average speedup of tree clocks over vector clocks
@@ -123,23 +127,23 @@ func (h *Harness) poPair(tr *trace.Trace, po PO, analysis bool) (tc, vc Result) 
 // (paper Table 2; paper values: MAZ 2.02, SHB 2.66, HB 2.97 for PO and
 // 1.49, 1.80, 1.11 with analysis).
 func (h *Harness) Table2(w io.Writer) {
-	speedup := map[PO][]float64{}
-	speedupA := map[PO][]float64{}
+	speedup := map[string][]float64{}
+	speedupA := map[string][]float64{}
 	for _, tr := range h.Suite() {
-		for _, po := range POs {
-			tc, vcr := h.poPair(tr, po, false)
-			speedup[po] = append(speedup[po], vcr.Seconds()/tc.Seconds())
-			tcA, vcA := h.poPair(tr, po, true)
-			speedupA[po] = append(speedupA[po], vcA.Seconds()/tcA.Seconds())
+		for _, o := range Orders {
+			tc, vcr := h.poPair(tr, o, false)
+			speedup[o] = append(speedup[o], vcr.Seconds()/tc.Seconds())
+			tcA, vcA := h.poPair(tr, o, true)
+			speedupA[o] = append(speedupA[o], vcA.Seconds()/tcA.Seconds())
 		}
 	}
 	fmt.Fprintln(w, "Table 2: Average speedup for computing the partial order due to tree clocks")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\tMAZ\tSHB\tHB")
 	fmt.Fprintf(tw, "PO\t%.2f\t%.2f\t%.2f\n",
-		stats.Mean(speedup[MAZ]), stats.Mean(speedup[SHB]), stats.Mean(speedup[HB]))
+		stats.Mean(speedup["maz"]), stats.Mean(speedup["shb"]), stats.Mean(speedup["hb"]))
 	fmt.Fprintf(tw, "PO + Analysis\t%.2f\t%.2f\t%.2f\n",
-		stats.Mean(speedupA[MAZ]), stats.Mean(speedupA[SHB]), stats.Mean(speedupA[HB]))
+		stats.Mean(speedupA["maz"]), stats.Mean(speedupA["shb"]), stats.Mean(speedupA["hb"]))
 	tw.Flush()
 	fmt.Fprintln(w, "(paper: PO 2.02 / 2.66 / 2.97; PO+Analysis 1.49 / 1.80 / 1.11)")
 }
@@ -149,8 +153,8 @@ func (h *Harness) Table2(w io.Writer) {
 // (MAZ/SHB/HB, with and without the analysis component).
 func (h *Harness) Figure6(w io.Writer) {
 	for _, analysis := range []bool{false, true} {
-		for _, po := range POs {
-			label := po.String()
+		for _, o := range Orders {
+			label := strings.ToUpper(o)
 			if analysis {
 				label += "+Analysis"
 			}
@@ -158,7 +162,7 @@ func (h *Harness) Figure6(w io.Writer) {
 			tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 			fmt.Fprintln(tw, "Benchmark\tVC (s)\tTC (s)\tVC/TC")
 			for _, tr := range h.Suite() {
-				tc, vcr := h.poPair(tr, po, analysis)
+				tc, vcr := h.poPair(tr, o, analysis)
 				fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%.2f\n",
 					tr.Meta.Name, vcr.Seconds(), tc.Seconds(), vcr.Seconds()/tc.Seconds())
 			}
@@ -181,7 +185,7 @@ func (h *Harness) Figure7(w io.Writer) {
 	var pts []point
 	for _, tr := range h.Suite() {
 		s := trace.ComputeStats(tr)
-		tc, vcr := h.poPair(tr, HB, true)
+		tc, vcr := h.poPair(tr, "hb", true)
 		if vcr.Elapsed.Milliseconds() < 5 {
 			continue // too small to time meaningfully (paper uses ≥100ms)
 		}
@@ -193,7 +197,7 @@ func (h *Harness) Figure7(w io.Writer) {
 			Vars: 1024, Events: int(200_000 * h.Opts.Scale), Seed: 777, SyncFrac: frac,
 		})
 		s := trace.ComputeStats(tr)
-		tc, vcr := h.poPair(tr, HB, true)
+		tc, vcr := h.poPair(tr, "hb", true)
 		pts = append(pts, point{tr.Meta.Name, s.SyncPct, vcr.Seconds() / tc.Seconds()})
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].syncPct < pts[j].syncPct })
@@ -215,8 +219,8 @@ func (h *Harness) Figure8(w io.Writer) {
 	fmt.Fprintln(tw, "Benchmark\tVTWork\tTCWork/VTWork\tVCWork/VTWork")
 	maxTC := 0.0
 	for _, tr := range h.Suite() {
-		tc := Run(tr, Config{PO: HB, Clock: TC, Work: true})
-		vcr := Run(tr, Config{PO: HB, Clock: VC, Work: true})
+		tc := Run(tr, Config{Engine: "hb-tree", Work: true})
+		vcr := Run(tr, Config{Engine: "hb-vc", Work: true})
 		vtw := float64(tc.Work.Changed)
 		tcRatio := float64(tc.Work.Entries) / vtw
 		vcRatio := float64(vcr.Work.Entries) / vtw
@@ -233,11 +237,11 @@ func (h *Harness) Figure8(w io.Writer) {
 // Figure 9): how much redundant work vector clocks perform.
 func (h *Harness) Figure9(w io.Writer) {
 	bounds := []float64{1, 5, 10, 20, 30, 40, 50, 60, 70, 80}
-	for _, po := range POs {
+	for _, o := range Orders {
 		var ratios []float64
 		for _, tr := range h.Suite() {
-			tc := Run(tr, Config{PO: po, Clock: TC, Work: true})
-			vcr := Run(tr, Config{PO: po, Clock: VC, Work: true})
+			tc := Run(tr, Config{Engine: o + "-tree", Work: true})
+			vcr := Run(tr, Config{Engine: o + "-vc", Work: true})
 			ratios = append(ratios, float64(vcr.Work.Entries)/float64(tc.Work.Entries))
 		}
 		hist := stats.NewHistogram(bounds, ratios)
@@ -247,7 +251,7 @@ func (h *Harness) Figure9(w io.Writer) {
 				maxCount = c
 			}
 		}
-		fmt.Fprintf(w, "Figure 9 (%s): histogram of VCWork/TCWork across the suite\n", po)
+		fmt.Fprintf(w, "Figure 9 (%s): histogram of VCWork/TCWork across the suite\n", strings.ToUpper(o))
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		for i, c := range hist.Counts {
 			fmt.Fprintf(tw, "%s\t%d\t%s\n", hist.BucketLabel(i), c, stats.Bar(c, maxCount, 40))
@@ -267,8 +271,8 @@ func (h *Harness) Figure10(w io.Writer) {
 		fmt.Fprintln(tw, "Threads\tVC (s)\tTC (s)\tVC/TC")
 		for _, k := range h.Opts.Fig10Threads {
 			tr := sc.Fn(k, h.Opts.Fig10Events, int64(k))
-			tc := RunMean(tr, Config{PO: HB, Clock: TC}, h.Opts.Repeats)
-			vcr := RunMean(tr, Config{PO: HB, Clock: VC}, h.Opts.Repeats)
+			tc := RunMean(tr, Config{Engine: "hb-tree"}, h.Opts.Repeats)
+			vcr := RunMean(tr, Config{Engine: "hb-vc"}, h.Opts.Repeats)
 			fmt.Fprintf(tw, "%d\t%.4f\t%.4f\t%.2f\n", k, vcr.Seconds(), tc.Seconds(), vcr.Seconds()/tc.Seconds())
 		}
 		tw.Flush()
@@ -279,7 +283,7 @@ func (h *Harness) Figure10(w io.Writer) {
 // Ablation quantifies the contribution of each tree-clock idea on the
 // star and mixed workloads: the full algorithm, joins without the
 // indirect-monotonicity break, and copies done deeply (no monotone
-// copy). This study is an extension beyond the paper (DESIGN.md §4).
+// copy). This study is an extension beyond the paper.
 func (h *Harness) Ablation(w io.Writer) {
 	workloads := []*trace.Trace{
 		gen.Star(64, h.Opts.Fig10Events, 1),
@@ -287,25 +291,33 @@ func (h *Harness) Ablation(w io.Writer) {
 		gen.Mixed(gen.Config{Name: "mixed-k32", Threads: 32, Locks: 16, Vars: 2048,
 			Events: h.Opts.Fig10Events, Seed: 3, SyncFrac: 0.3}),
 	}
-	modes := []struct {
+	tree := func(mode core.Mode) func(*trace.Trace, *vt.WorkStats) time.Duration {
+		return func(tr *trace.Trace, st *vt.WorkStats) time.Duration {
+			return TimeHB(tr, core.FactoryMode(st, mode))
+		}
+	}
+	variants := []struct {
 		name string
-		cfg  Config
+		run  func(*trace.Trace, *vt.WorkStats) time.Duration
 	}{
-		{"TC (full)", Config{PO: HB, Clock: TC}},
-		{"TC no-indirect-break", Config{PO: HB, Clock: TC, Mode: core.ModeNoIndirectBreak}},
-		{"TC deep-copy", Config{PO: HB, Clock: TC, Mode: core.ModeDeepCopy}},
-		{"VC", Config{PO: HB, Clock: VC}},
+		{"TC (full)", tree(core.ModeFull)},
+		{"TC no-indirect-break", tree(core.ModeNoIndirectBreak)},
+		{"TC deep-copy", tree(core.ModeDeepCopy)},
+		{"VC", func(tr *trace.Trace, st *vt.WorkStats) time.Duration { return TimeHB(tr, vc.Factory(st)) }},
 	}
 	fmt.Fprintln(w, "Ablation: contribution of each tree-clock mechanism (HB)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Workload\tVariant\tTime (s)\tEntries touched")
 	for _, tr := range workloads {
-		for _, m := range modes {
-			cfg := m.cfg
-			cfg.Work = true
-			r := Run(tr, cfg)
-			timedR := RunMean(tr, m.cfg, h.Opts.Repeats)
-			fmt.Fprintf(tw, "%s\t%s\t%.4f\t%d\n", tr.Meta.Name, m.name, timedR.Seconds(), r.Work.Entries)
+		for _, v := range variants {
+			var st vt.WorkStats
+			v.run(tr, &st)
+			var total time.Duration
+			for i := 0; i < h.Opts.Repeats; i++ {
+				total += v.run(tr, nil)
+			}
+			mean := total / time.Duration(h.Opts.Repeats)
+			fmt.Fprintf(tw, "%s\t%s\t%.4f\t%d\n", tr.Meta.Name, v.name, mean.Seconds(), st.Entries)
 		}
 	}
 	tw.Flush()

@@ -1,115 +1,31 @@
-// Package bench is the experiment harness: it runs the HB, SHB and MAZ
-// engines over generated workloads with both clock data structures,
-// measures wall-clock time and data-structure work, and formats the
-// paper's Tables 1–3 and Figures 6–10 (plus an ablation study) as
-// text reports.
+// Package bench is the experiment harness: it runs registry engines
+// (treeclock.RunStreamSource over an in-memory trace replay — the same
+// path every streaming caller takes) over generated workloads with both
+// clock data structures, measures wall-clock time and data-structure
+// work, and formats the paper's Tables 1–3 and Figures 6–10 (plus an
+// ablation study) as text reports.
 package bench
 
 import (
 	"fmt"
 	"time"
 
-	"treeclock/internal/analysis"
-	"treeclock/internal/core"
+	"treeclock"
+	"treeclock/internal/engine"
 	"treeclock/internal/hb"
-	"treeclock/internal/maz"
-	"treeclock/internal/shb"
 	"treeclock/internal/trace"
-	"treeclock/internal/vc"
 	"treeclock/internal/vt"
-	"treeclock/internal/wcp"
 )
 
-// PO selects the partial order to compute.
-type PO int
-
-const (
-	// MAZ is the Mazurkiewicz partial order.
-	MAZ PO = iota
-	// SHB is schedulable-happens-before.
-	SHB
-	// HB is happens-before.
-	HB
-	// WCP is the weakly-causally-precedes weak order (predictive race
-	// detection). It is not part of POs — the paper's tables cover
-	// MAZ/SHB/HB — but the stream and ingest experiments exercise it
-	// through the engine registry.
-	WCP
-)
-
-// POs lists the partial orders in the paper's reporting order.
-var POs = []PO{MAZ, SHB, HB}
-
-func (p PO) String() string {
-	switch p {
-	case HB:
-		return "HB"
-	case SHB:
-		return "SHB"
-	case MAZ:
-		return "MAZ"
-	case WCP:
-		return "WCP"
-	default:
-		return "PO?"
-	}
-}
-
-// ForNames maps an engine registry entry's order/clock names ("hb",
-// "shb", "maz" × "tree", "vc") to the harness constants, reporting
-// whether both names are known. It is the one place the string names
-// and the bench constants are tied together.
-func ForNames(order, clock string) (PO, Clock, bool) {
-	var po PO
-	switch order {
-	case "hb":
-		po = HB
-	case "shb":
-		po = SHB
-	case "maz":
-		po = MAZ
-	case "wcp":
-		po = WCP
-	default:
-		return 0, 0, false
-	}
-	var ck Clock
-	switch clock {
-	case "tree", "tc":
-		ck = TC
-	case "vc":
-		ck = VC
-	default:
-		return 0, 0, false
-	}
-	return po, ck, true
-}
-
-// Clock selects the data structure.
-type Clock int
-
-const (
-	// TC is the tree clock (the paper's contribution).
-	TC Clock = iota
-	// VC is the flat vector clock baseline.
-	VC
-)
-
-func (c Clock) String() string {
-	if c == TC {
-		return "TC"
-	}
-	return "VC"
-}
-
-// TreeMode forwards core ablation modes through the harness.
-type TreeMode = core.Mode
+// Orders lists the partial orders of the paper's tables in its
+// reporting order. Each is measured as the registry pair "<o>-tree"
+// and "<o>-vc", which share the algorithm and differ only in the clock.
+var Orders = []string{"maz", "shb", "hb"}
 
 // Result is one measured engine run.
 type Result struct {
 	Trace    string
-	PO       PO
-	Clock    Clock
+	Engine   string
 	Analysis bool
 	Events   int
 	Threads  int
@@ -123,119 +39,41 @@ func (r Result) Seconds() float64 { return r.Elapsed.Seconds() }
 
 // Config controls a single run.
 type Config struct {
-	PO       PO
-	Clock    Clock
-	Analysis bool     // also run the race / reversible-pair analysis
-	Work     bool     // count data-structure work (adds overhead)
-	Mode     TreeMode // tree-clock ablation mode (TC only)
+	Engine   string // registry name, e.g. "hb-tree" (see treeclock.Engines)
+	Analysis bool   // also run the race / reversible-pair analysis
+	Work     bool   // count data-structure work (adds overhead)
 }
 
-// Run executes one engine over the trace and reports the measurement.
+// Run executes one registry engine over the trace and reports the
+// measurement. An unknown engine name is a programming error and
+// panics.
 func Run(tr *trace.Trace, cfg Config) Result {
-	res := Result{
+	var (
+		st   vt.WorkStats
+		opts []treeclock.StreamOption
+	)
+	if !cfg.Analysis {
+		opts = append(opts, treeclock.StreamNoAnalysis())
+	}
+	if cfg.Work {
+		opts = append(opts, treeclock.StreamWorkStats(&st))
+	}
+	src := treeclock.NewTraceReplayer(tr)
+	start := time.Now()
+	out, err := treeclock.RunStreamSource(cfg.Engine, src, opts...)
+	elapsed := time.Since(start)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	return Result{
 		Trace:    tr.Meta.Name,
-		PO:       cfg.PO,
-		Clock:    cfg.Clock,
+		Engine:   cfg.Engine,
 		Analysis: cfg.Analysis,
 		Events:   tr.Len(),
 		Threads:  tr.Meta.Threads,
-	}
-	var st *vt.WorkStats
-	if cfg.Work {
-		st = &vt.WorkStats{}
-	}
-	if cfg.Clock == TC {
-		f := core.FactoryMode(st, cfg.Mode)
-		res.Elapsed, res.Pairs = dispatch(tr, cfg, f)
-	} else {
-		f := vc.Factory(st)
-		res.Elapsed, res.Pairs = dispatch(tr, cfg, f)
-	}
-	if st != nil {
-		res.Work = *st
-	}
-	return res
-}
-
-// dispatch instantiates the right engine for the clock type C.
-func dispatch[C vt.Clock[C]](tr *trace.Trace, cfg Config, f vt.Factory[C]) (time.Duration, uint64) {
-	switch cfg.PO {
-	case HB:
-		e := hb.New(tr.Meta, f)
-		if cfg.Analysis {
-			det := e.EnableRaceDetection()
-			el := timed(func() { e.Process(tr.Events) })
-			return el, det.Acc.Total
-		}
-		return timed(func() { e.Process(tr.Events) }), 0
-	case SHB:
-		e := shb.New(tr.Meta, f)
-		if cfg.Analysis {
-			det := e.EnableRaceDetection()
-			el := timed(func() { e.Process(tr.Events) })
-			return el, det.Acc.Total
-		}
-		return timed(func() { e.Process(tr.Events) }), 0
-	case MAZ:
-		e := maz.New(tr.Meta, f)
-		if cfg.Analysis {
-			acc := e.EnableAnalysis()
-			el := timed(func() { e.Process(tr.Events) })
-			return el, acc.Total
-		}
-		return timed(func() { e.Process(tr.Events) }), 0
-	case WCP:
-		e := wcp.New(tr.Meta, f)
-		if cfg.Analysis {
-			acc := e.EnableAnalysis()
-			el := timed(func() { e.Process(tr.Events) })
-			return el, acc.Total
-		}
-		return timed(func() { e.Process(tr.Events) }), 0
-	default:
-		panic(fmt.Sprintf("bench: unknown partial order %d", cfg.PO))
-	}
-}
-
-func timed(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// SamplePairs runs the analysis and returns the retained sample pairs
-// (bounded; counting in Run covers the totals).
-func SamplePairs(tr *trace.Trace, po PO, ck Clock) []analysis.Pair {
-	if ck == TC {
-		return samplePairs(tr, po, core.Factory(nil))
-	}
-	return samplePairs(tr, po, vc.Factory(nil))
-}
-
-func samplePairs[C vt.Clock[C]](tr *trace.Trace, po PO, f vt.Factory[C]) []analysis.Pair {
-	switch po {
-	case HB:
-		e := hb.New(tr.Meta, f)
-		det := e.EnableRaceDetection()
-		e.Process(tr.Events)
-		return det.Acc.Samples
-	case SHB:
-		e := shb.New(tr.Meta, f)
-		det := e.EnableRaceDetection()
-		e.Process(tr.Events)
-		return det.Acc.Samples
-	case MAZ:
-		e := maz.New(tr.Meta, f)
-		acc := e.EnableAnalysis()
-		e.Process(tr.Events)
-		return acc.Samples
-	case WCP:
-		e := wcp.New(tr.Meta, f)
-		acc := e.EnableAnalysis()
-		e.Process(tr.Events)
-		return acc.Samples
-	default:
-		panic(fmt.Sprintf("bench: unknown partial order %d", po))
+		Elapsed:  elapsed,
+		Work:     st,
+		Pairs:    out.Summary.Total,
 	}
 }
 
@@ -252,4 +90,16 @@ func RunMean(tr *trace.Trace, cfg Config, repeats int) Result {
 	}
 	res.Elapsed = total / time.Duration(repeats)
 	return res
+}
+
+// TimeHB times the happens-before order over tr on clocks built by f.
+// It is the ablation's engine path: the tree-clock ablation modes
+// (core.FactoryMode) live below the registry, which builds only the
+// full algorithm, so every ablation row — each mode and the vector
+// clock — runs through this one helper.
+func TimeHB[C vt.Clock[C]](tr *trace.Trace, f vt.Factory[C]) time.Duration {
+	rt := engine.New[C](hb.NewSemantics[C](), f)
+	start := time.Now()
+	rt.Process(tr.Events)
+	return time.Since(start)
 }

@@ -257,7 +257,9 @@ func (d *Dec) Header() {
 }
 
 // rawUvarint decodes a varint straight from the underlying reader
-// (section headers live outside any payload).
+// (section headers live outside any payload). Like every varint Dec
+// reads, it must be minimally encoded — the only form Enc writes — so
+// an encoding has exactly one accepted spelling.
 func (d *Dec) rawUvarint() uint64 {
 	var v uint64
 	var shift uint
@@ -267,8 +269,15 @@ func (d *Dec) rawUvarint() uint64 {
 			d.corrupt("reading section header: %v", err)
 			return 0
 		}
+		if i == binary.MaxVarintLen64-1 && b[0] > 1 {
+			break // overflows 64 bits
+		}
 		v |= uint64(b[0]&0x7f) << shift
 		if b[0] < 0x80 {
+			if i > 0 && b[0] == 0 {
+				d.corrupt("section header varint not minimally encoded")
+				return 0
+			}
 			return v
 		}
 		shift += 7
@@ -421,7 +430,7 @@ func (d *Dec) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
+	if n <= 0 || !minimal(d.buf[d.pos:], n) {
 		d.corrupt("section %q: bad varint", d.name)
 		return 0
 	}
@@ -439,13 +448,17 @@ func (d *Dec) Svarint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
+	if n <= 0 || !minimal(d.buf[d.pos:], n) {
 		d.corrupt("section %q: bad varint", d.name)
 		return 0
 	}
 	d.pos += n
 	return v
 }
+
+// minimal reports whether the n-byte varint at the start of b is
+// minimally encoded: a longer spelling ends in a redundant zero byte.
+func minimal(b []byte, n int) bool { return n == 1 || b[n-1] != 0 }
 
 // Int reads a signed integer and range-checks it into int.
 func (d *Dec) Int() int {

@@ -597,6 +597,70 @@ func TestDaemonStats(t *testing.T) {
 	}
 }
 
+// TestDaemonTeardownBeforeTerminalFrame pins the session-end order: the
+// daemon releases the id, records the outcome and removes a finished
+// spool before it writes the terminal frame. The hook stalls the daemon
+// between those two steps, so a reversed order would leave the session
+// live at exactly the moment the client acts on the frame.
+func TestDaemonTeardownBeforeTerminalFrame(t *testing.T) {
+	afterTeardown = func() { time.Sleep(20 * time.Millisecond) }
+	t.Cleanup(func() { afterTeardown = nil }) // runs after the daemon's Close
+	tr := daemonTrace()
+	n := uint64(len(tr.Events))
+	spool := t.TempDir()
+	srv, _ := startDaemon(t, spool, nil)
+	addr := srv.Addr().String()
+	stats := func() *Stats {
+		t.Helper()
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("dial stats: %v", err)
+		}
+		defer c.Close()
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		return st
+	}
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if _, err := c.Open("hook", "hb-tree"); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	feedRange(t, c, tr.Events, 0, n/2, 173)
+	pos, err := c.Detach()
+	if err != nil {
+		t.Fatalf("detach: %v", err)
+	}
+	if st := stats(); st.ActiveSessions != 0 || st.SessionsDetached != 1 {
+		t.Fatalf("right after the detach ack: active=%d detached=%d, want 0/1", st.ActiveSessions, st.SessionsDetached)
+	}
+	c.Close()
+
+	c2, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial 2: %v", err)
+	}
+	defer c2.Close()
+	if _, err := c2.Open("hook", "hb-tree", OpenResume()); err != nil {
+		t.Fatalf("resume right after the detach ack: %v", err)
+	}
+	feedRange(t, c2, tr.Events, pos, n, 173)
+	if _, err := c2.Finish(); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if st := stats(); st.ActiveSessions != 0 || st.SessionsFinished != 1 {
+		t.Fatalf("right after the result: active=%d finished=%d, want 0/1", st.ActiveSessions, st.SessionsFinished)
+	}
+	if _, err := os.Stat(spool + "/hook.ckpt"); !os.IsNotExist(err) {
+		t.Fatalf("spool checkpoint still present when the result arrived (stat err %v)", err)
+	}
+}
+
 // TestDaemonAdmission covers the bounded pool: with one slot, a second
 // session waits for the first to end instead of failing.
 func TestDaemonAdmission(t *testing.T) {

@@ -308,6 +308,16 @@ func loadPos(d *ckpt.Dec) (pos uint64, reason string, err error) {
 	return pos, reason, d.Err()
 }
 
+// wholePayload rejects bytes left over after a payload decoder: every
+// message has exactly one accepted spelling, the one its encoder
+// writes.
+func wholePayload(r *bytes.Reader) error {
+	if n := r.Len(); n != 0 {
+		return fmt.Errorf("daemon: %d trailing payload bytes: %w", n, ckpt.ErrCorrupt)
+	}
+	return nil
+}
+
 // encodeOpen marshals an open request into one frame payload.
 func encodeOpen(spec *openSpec) ([]byte, error) {
 	var buf bytes.Buffer
@@ -319,7 +329,15 @@ func encodeOpen(spec *openSpec) ([]byte, error) {
 
 // decodeOpen unmarshals an open request frame payload.
 func decodeOpen(payload []byte) (*openSpec, error) {
-	return loadOpen(ckpt.NewDec(bytes.NewReader(payload)))
+	r := bytes.NewReader(payload)
+	spec, err := loadOpen(ckpt.NewDec(r))
+	if err == nil {
+		err = wholePayload(r)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return spec, nil
 }
 
 // encodeResult marshals a StreamResult into one frame payload.
@@ -333,7 +351,15 @@ func encodeResult(res *treeclock.StreamResult) ([]byte, error) {
 
 // decodeResult unmarshals a result frame payload.
 func decodeResult(payload []byte) (*treeclock.StreamResult, error) {
-	return loadResult(ckpt.NewDec(bytes.NewReader(payload)))
+	r := bytes.NewReader(payload)
+	res, err := loadResult(ckpt.NewDec(r))
+	if err == nil {
+		err = wholePayload(r)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // encodePos marshals a position notice into one frame payload.
@@ -347,7 +373,15 @@ func encodePos(pos uint64, reason string) ([]byte, error) {
 
 // decodePos unmarshals a position notice frame payload.
 func decodePos(payload []byte) (uint64, string, error) {
-	return loadPos(ckpt.NewDec(bytes.NewReader(payload)))
+	r := bytes.NewReader(payload)
+	pos, reason, err := loadPos(ckpt.NewDec(r))
+	if err == nil {
+		err = wholePayload(r)
+	}
+	if err != nil {
+		return 0, "", err
+	}
+	return pos, reason, nil
 }
 
 // encodeEvents appends an event batch in the bare hot-path encoding:
@@ -364,16 +398,24 @@ func encodeEvents(dst []byte, events []trace.Event) []byte {
 	return dst
 }
 
+// overlong reports whether the k-byte varint at the start of b has a
+// longer spelling than binary.AppendUvarint writes (a redundant zero
+// final byte); decoders reject those, so a payload has one spelling.
+func overlong(b []byte, k int) bool { return k > 1 && b[k-1] == 0 }
+
 // decodeEvents decodes an events frame payload into buf (grown as
 // needed), validating kinds and identifier ranges.
 func decodeEvents(payload []byte, buf []trace.Event) ([]trace.Event, error) {
 	n, k := binary.Uvarint(payload)
-	if k <= 0 {
+	if k <= 0 || overlong(payload, k) {
 		return nil, fmt.Errorf("daemon: events frame: bad count")
 	}
 	payload = payload[k:]
 	if n > maxEventsPerFrame {
 		return nil, fmt.Errorf("daemon: events frame: count %d exceeds limit %d", n, maxEventsPerFrame)
+	}
+	if n > uint64(len(payload))/3 { // an event takes at least 3 bytes
+		return nil, fmt.Errorf("daemon: events frame: count %d exceeds payload", n)
 	}
 	if uint64(cap(buf)) < n {
 		buf = make([]trace.Event, n)
@@ -389,12 +431,12 @@ func decodeEvents(payload []byte, buf []trace.Event) ([]trace.Event, error) {
 		}
 		payload = payload[1:]
 		t, k := binary.Uvarint(payload)
-		if k <= 0 || t > 1<<31-1 {
+		if k <= 0 || overlong(payload, k) || t > 1<<31-1 {
 			return nil, fmt.Errorf("daemon: events frame: bad thread id at event %d", i)
 		}
 		payload = payload[k:]
 		obj, k := binary.Uvarint(payload)
-		if k <= 0 || obj > 1<<32-1 {
+		if k <= 0 || overlong(payload, k) || obj > 1<<32-1 {
 			return nil, fmt.Errorf("daemon: events frame: bad operand at event %d", i)
 		}
 		payload = payload[k:]

@@ -18,6 +18,20 @@ import (
 	"treeclock/internal/trace"
 )
 
+// ending is how a session ends: the stats-table disposition
+// ("finished", "detached", "evicted", "failed", "disconnected") and the
+// terminal frame that tells the client, if any (typ 0: the client is
+// gone and nothing is written).
+type ending struct {
+	outcome string
+	typ     byte
+	payload []byte
+}
+
+// afterTeardown, when set, runs between a session's teardown and the
+// write of its terminal frame. Tests stall it to pin that order.
+var afterTeardown func()
+
 // serveSession runs one session to completion on its connection.
 func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, spec *openSpec) {
 	fail := func(format string, args ...any) {
@@ -53,11 +67,16 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	}
 	s.live[spec.ID] = struct{}{}
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.live, spec.ID)
-		s.mu.Unlock()
-	}()
+	live := true
+	release := func() {
+		if live {
+			s.mu.Lock()
+			delete(s.live, spec.ID)
+			s.mu.Unlock()
+			live = false
+		}
+	}
+	defer release()
 
 	spool := filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")
 	opts := []treeclock.StreamOption{
@@ -110,19 +129,33 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 		return
 	}
 	s.cfg.Logf("session %s: open engine=%s workers=%d resume=%v pos=%d", spec.ID, spec.Engine, spec.Workers, spec.Resume, pos)
-	outcome := s.feedLoop(br, bw, spec, sess, pos)
-	s.stats.sessionClosed(spec.ID, outcome)
-	s.cfg.Logf("session %s: %s at %d events", spec.ID, outcome, sess.Events())
+	end := s.feedLoop(br, bw, spec, sess, pos)
+	// Tear down before telling the client: one that acts on the terminal
+	// frame at once — resuming a detached or evicted id, reading stats
+	// after a finish — must find the id free and the outcome recorded.
+	release()
+	if end.outcome == "finished" {
+		// The trace is fully analyzed; the spool frontier has nothing
+		// left to resume.
+		os.Remove(spool)
+	}
+	s.stats.sessionClosed(spec.ID, end.outcome)
+	s.cfg.Logf("session %s: %s at %d events", spec.ID, end.outcome, sess.Events())
+	if afterTeardown != nil {
+		afterTeardown()
+	}
+	if end.typ != 0 {
+		writeFrame(bw, end.typ, end.payload)
+	}
 }
 
-// feedLoop drives one opened session until a terminal outcome; the
-// returned string is the stats-table disposition ("finished",
-// "detached", "evicted", "failed", "disconnected").
-func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, sess *treeclock.Session, pos uint64) string {
+// feedLoop drives one opened session until a terminal outcome and
+// returns it; the caller tears the session down and then writes the
+// terminal frame.
+func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, sess *treeclock.Session, pos uint64) ending {
 	spool := filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")
-	fail := func(format string, args ...any) string {
-		writeFrame(bw, frameError, []byte(fmt.Sprintf(format, args...)))
-		return "failed"
+	fail := func(format string, args ...any) ending {
+		return ending{"failed", frameError, []byte(fmt.Sprintf(format, args...))}
 	}
 	// courtesy snapshots the session to its spool so the client (or the
 	// next daemon) can resume; best-effort on abnormal exits.
@@ -151,7 +184,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 			// The client vanished (or the daemon is closing): leave a
 			// resumable frontier behind.
 			courtesy()
-			return "disconnected"
+			return ending{outcome: "disconnected"}
 		}
 		switch typ {
 		case frameEvents:
@@ -174,7 +207,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 					retained = ms.RetainedBytes
 					s.stats.sessionRetained(spec.ID, retained)
 					if s.cfg.MaxRetainedBytes > 0 && retained > s.cfg.MaxRetainedBytes {
-						return s.evict(bw, spec, sess, retained)
+						return s.evict(spec, sess, retained)
 					}
 				}
 			}
@@ -182,7 +215,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 				nextProgress = nextMultiple(n, s.cfg.ProgressEvery)
 				if writeFrame(bw, frameProgress, encodeProgress(n, retained)) != nil {
 					courtesy()
-					return "disconnected"
+					return ending{outcome: "disconnected"}
 				}
 			}
 		case frameFinish:
@@ -195,14 +228,8 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 			if err != nil {
 				return fail("tcraced: %v", err)
 			}
-			if writeFrame(bw, frameResult, payload) != nil {
-				return "disconnected"
-			}
-			// The trace is fully analyzed; the spool frontier has
-			// nothing left to resume.
-			os.Remove(spool)
 			s.stats.sessionFinished(spec.ID, res.Summary.Total)
-			return "finished"
+			return ending{"finished", frameResult, payload}
 		case frameDetach:
 			var snap bytes.Buffer
 			if err := sess.Snapshot(&snap); err != nil {
@@ -225,8 +252,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 			if err != nil {
 				return fail("tcraced: %v", err)
 			}
-			writeFrame(bw, frameDetached, payload)
-			return "detached"
+			return ending{"detached", frameDetached, payload}
 		default:
 			courtesy()
 			return fail("tcraced: unexpected frame %q in session", typ)
@@ -235,15 +261,14 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 }
 
 // evict ends an over-budget session: final checkpoint to the spool,
-// an evicted frame naming the resumable position and the reason, and
-// disconnection. The client resumes later (here or on another daemon
-// sharing the spool) and re-feeds from the reported position.
-func (s *Server) evict(bw *bufio.Writer, spec *openSpec, sess *treeclock.Session, retained uint64) string {
+// then an evicted frame naming the resumable position and the reason,
+// and disconnection. The client resumes later (here or on another
+// daemon sharing the spool) and re-feeds from the reported position.
+func (s *Server) evict(spec *openSpec, sess *treeclock.Session, retained uint64) ending {
 	spool := filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")
 	var snap bytes.Buffer
 	if err := sess.Snapshot(&snap); err != nil {
-		writeFrame(bw, frameError, []byte(fmt.Sprintf("tcraced: evicting session %q: %v", spec.ID, err)))
-		return "failed"
+		return ending{"failed", frameError, []byte(fmt.Sprintf("tcraced: evicting session %q: %v", spec.ID, err))}
 	}
 	wc, err := (treeclock.FileCheckpointSink{Path: spool}).Create(sess.Events())
 	if err == nil {
@@ -256,17 +281,15 @@ func (s *Server) evict(bw *bufio.Writer, spec *openSpec, sess *treeclock.Session
 		}
 	}
 	if err != nil {
-		writeFrame(bw, frameError, []byte(fmt.Sprintf("tcraced: spooling eviction checkpoint: %v", err)))
-		return "failed"
+		return ending{"failed", frameError, []byte(fmt.Sprintf("tcraced: spooling eviction checkpoint: %v", err))}
 	}
 	reason := fmt.Sprintf("retained %d bytes over budget %d", retained, s.cfg.MaxRetainedBytes)
 	payload, perr := encodePos(sess.Events(), reason)
 	if perr != nil {
-		return "failed"
+		return ending{outcome: "failed"}
 	}
-	writeFrame(bw, frameEvicted, payload)
 	s.cfg.Logf("session %s: evicted (%s)", spec.ID, reason)
-	return "evicted"
+	return ending{"evicted", frameEvicted, payload}
 }
 
 // encodeProgress marshals a progress notice: absolute event position

@@ -54,7 +54,7 @@ func (r *Runtime[C]) Snapshot(w io.Writer) error {
 	}
 	e := ckpt.NewEnc(w)
 	e.Begin("engine")
-	e.String(r.name)
+	e.String("") // retired trace-name slot, kept so format v2 is unchanged
 	e.Uvarint(uint64(r.vars))
 	e.U64(r.events)
 	e.Uvarint(uint64(len(r.threads)))
@@ -115,7 +115,7 @@ func (r *Runtime[C]) Restore(rd io.Reader) error {
 	}
 	d := ckpt.NewDec(rd)
 	d.Begin("engine")
-	name := d.String()
+	_ = d.String() // retired trace-name slot
 	vars := d.Count()
 	events := d.U64()
 	nt := d.Len(1)
@@ -217,7 +217,7 @@ func (r *Runtime[C]) Restore(rd io.Reader) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	r.name, r.vars, r.events = name, vars, events
+	r.vars, r.events = vars, events
 	r.threads, r.locks, r.lockSet = threads, locks, lockSet
 	if hasSlots {
 		r.slots = slots

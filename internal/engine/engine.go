@@ -8,8 +8,8 @@
 // a different Semantics yields a different partial order; instantiating
 // it with a different vt.Clock yields the tree-clock or vector-clock
 // variant. The partial-order packages (internal/hb, internal/shb,
-// internal/maz, internal/wcp) are therefore reduced to plugins plus a
-// constructor.
+// internal/maz, internal/wcp) are therefore reduced to plugins; the
+// engine registry in the root package binds each to a runtime.
 //
 // Orders that depend on more than read/write structure opt into the
 // extension interfaces: LockSemantics adds Acquire/Release hooks (per-
@@ -171,7 +171,6 @@ type Runtime[C vt.Clock[C]] struct {
 	acc       *analysis.Accumulator
 	events    uint64
 	vars      int // variable-id high-water mark (for Meta reporting)
-	name      string
 }
 
 // New returns a dynamically growing runtime: it assumes nothing about
@@ -210,19 +209,6 @@ func (r *Runtime[C]) MemStats() (ms MemStats, ok bool) {
 		ok = true
 	}
 	return ms, ok
-}
-
-// NewWithMeta returns a runtime pre-sized for a known trace: thread
-// clocks are created up front at full capacity, exactly as when
-// analyzing a materialized trace. The runtime still grows past the
-// metadata if the trace turns out larger.
-func NewWithMeta[C vt.Clock[C]](sem Semantics[C], factory vt.Factory[C], meta trace.Meta) *Runtime[C] {
-	r := New(sem, factory)
-	r.name = meta.Name
-	r.vars = meta.Vars
-	r.growThreads(meta.Threads)
-	r.growLocks(meta.Locks)
-	return r
 }
 
 // growThreads extends the thread space to n, creating and initializing
@@ -267,10 +253,9 @@ func (r *Runtime[C]) NewClock() C { return r.factory(len(r.threads)) }
 // Threads returns the number of threads seen so far.
 func (r *Runtime[C]) Threads() int { return len(r.threads) }
 
-// Meta reports the identifier spaces seen so far (streaming runs) or
-// declared up front (NewWithMeta), whichever is larger.
+// Meta reports the identifier spaces seen so far.
 func (r *Runtime[C]) Meta() trace.Meta {
-	return trace.Meta{Name: r.name, Threads: len(r.threads), Locks: len(r.locks), Vars: r.vars}
+	return trace.Meta{Threads: len(r.threads), Locks: len(r.locks), Vars: r.vars}
 }
 
 // EnableRaceDetection attaches a FastTrack-style detector (the

@@ -5,12 +5,18 @@ import (
 	"testing"
 
 	"treeclock/internal/core"
+	"treeclock/internal/engine"
 	"treeclock/internal/gen"
 	"treeclock/internal/oracle"
 	"treeclock/internal/trace"
 	"treeclock/internal/vc"
 	"treeclock/internal/vt"
 )
+
+// newEngine binds the HB semantics to a fresh runtime over f.
+func newEngine[C vt.Clock[C]](f vt.Factory[C]) *engine.Runtime[C] {
+	return engine.New[C](NewSemantics[C](), f)
+}
 
 func parse(t *testing.T, s string) *trace.Trace {
 	t.Helper()
@@ -48,13 +54,12 @@ func randomTraces() []*trace.Trace {
 
 // stepCompare runs the engine event by event and compares each event's
 // timestamp with the oracle's.
-func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res *oracle.Result, label string) {
+func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *engine.Runtime[C], res *oracle.Result, label string) {
 	t.Helper()
 	k := tr.Meta.Threads
-	dst := vt.NewVector(k)
 	for i, ev := range tr.Events {
 		e.Step(ev)
-		got := e.Timestamp(ev.T, dst)
+		got := e.Timestamp(ev.T, vt.NewVector(k))
 		if !got.Equal(res.Post[i]) {
 			t.Fatalf("%s: %s event %d (%v): timestamp %v, oracle %v", label, tr.Meta.Name, i, ev, got, res.Post[i])
 		}
@@ -64,9 +69,9 @@ func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res
 func TestHBMatchesOracleBothClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.HB)
-		eTC := New(tr.Meta, core.Factory(nil))
+		eTC := newEngine(core.Factory(nil))
 		stepCompare(t, tr, eTC, res, "tree clock")
-		eVC := New(tr.Meta, vc.Factory(nil))
+		eVC := newEngine(vc.Factory(nil))
 		stepCompare(t, tr, eVC, res, "vector clock")
 	}
 }
@@ -80,7 +85,7 @@ t1 acq l0
 t1 r x0
 t1 rel l0
 `)
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	e.Process(tr.Events)
 	if got := e.Timestamp(1, vt.NewVector(2)); !got.Equal(vt.Vector{3, 3}) {
 		t.Errorf("t1 timestamp = %v, want [3, 3]", got)
@@ -96,8 +101,8 @@ t1 rel l0
 func TestVTWorkIdenticalAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		var stTC, stVC vt.WorkStats
-		New(tr.Meta, core.Factory(&stTC)).Process(tr.Events)
-		New(tr.Meta, vc.Factory(&stVC)).Process(tr.Events)
+		newEngine(core.Factory(&stTC)).Process(tr.Events)
+		newEngine(vc.Factory(&stVC)).Process(tr.Events)
 		if stTC.Changed != stVC.Changed {
 			t.Errorf("%s: VTWork disagrees: tree %d vs vector %d", tr.Meta.Name, stTC.Changed, stVC.Changed)
 		}
@@ -115,7 +120,7 @@ func TestVTWorkIdenticalAcrossClocks(t *testing.T) {
 func TestTreeClockWorkBound(t *testing.T) {
 	for _, tr := range randomTraces() {
 		var st vt.WorkStats
-		New(tr.Meta, core.Factory(&st)).Process(tr.Events)
+		newEngine(core.Factory(&st)).Process(tr.Events)
 		bound := 3*st.Changed + st.Joins + st.Copies
 		if st.Entries > bound {
 			t.Errorf("%s: TCWork %d exceeds 3·VTWork+ops = %d (VTWork %d)",
@@ -124,12 +129,14 @@ func TestTreeClockWorkBound(t *testing.T) {
 	}
 }
 
-// TestVectorClockWorkLinear sanity-checks the baseline: every join or
-// copy touches exactly k entries.
+// TestVectorClockWorkLinear sanity-checks the baseline: with every
+// clock allocated k wide up front, every join or copy touches exactly
+// k entries.
 func TestVectorClockWorkLinear(t *testing.T) {
 	tr := gen.SingleLock(7, 600, 1)
 	var st vt.WorkStats
-	New(tr.Meta, vc.Factory(&st)).Process(tr.Events)
+	f := vc.Factory(&st)
+	newEngine(func(int) *vc.VectorClock { return f(tr.Meta.Threads) }).Process(tr.Events)
 	wantOps := st.Joins + st.Copies
 	wantEntries := wantOps*uint64(tr.Meta.Threads) + uint64(tr.Len()) // + increments
 	if st.Entries != wantEntries {
@@ -154,7 +161,7 @@ func eventIndex(tr *trace.Trace) map[vt.Epoch]int {
 func TestRaceDetectionAgainstOracle(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.HB)
-		e := New(tr.Meta, core.Factory(nil))
+		e := newEngine(core.Factory(nil))
 		det := e.EnableRaceDetection()
 		e.Process(tr.Events)
 
@@ -191,10 +198,10 @@ func TestRaceDetectionAgainstOracle(t *testing.T) {
 // identical counts with tree clocks and vector clocks.
 func TestRaceDetectionAgreesAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
-		eTC := New(tr.Meta, core.Factory(nil))
+		eTC := newEngine(core.Factory(nil))
 		dTC := eTC.EnableRaceDetection()
 		eTC.Process(tr.Events)
-		eVC := New(tr.Meta, vc.Factory(nil))
+		eVC := newEngine(vc.Factory(nil))
 		dVC := eVC.EnableRaceDetection()
 		eVC.Process(tr.Events)
 		if dTC.Acc.Summary() != dVC.Acc.Summary() {
@@ -206,7 +213,7 @@ func TestRaceDetectionAgreesAcrossClocks(t *testing.T) {
 
 func TestRacyTraceIsDetected(t *testing.T) {
 	tr := parse(t, "t0 w x0\nt1 r x0\nt1 w x0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	det := e.EnableRaceDetection()
 	e.Process(tr.Events)
 	sum := det.Acc.Summary()
@@ -223,7 +230,7 @@ func TestRacyTraceIsDetected(t *testing.T) {
 
 func TestWellSyncedTraceHasNoRaces(t *testing.T) {
 	tr := gen.SingleLock(6, 500, 2)
-	e := New(tr.Meta, vc.Factory(nil))
+	e := newEngine(vc.Factory(nil))
 	det := e.EnableRaceDetection()
 	e.Process(tr.Events)
 	if det.Acc.Total != 0 {
@@ -239,7 +246,7 @@ t1 r x0
 t0 join t1
 t0 w x0
 `)
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	det := e.EnableRaceDetection()
 	e.Process(tr.Events)
 	if det.Acc.Total != 0 {
@@ -254,16 +261,16 @@ t0 w x0
 
 func TestThreadClockAccessor(t *testing.T) {
 	tr := parse(t, "t0 w x0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	e.Process(tr.Events)
 	if e.ThreadClock(0).Get(0) != 1 {
 		t.Error("ThreadClock accessor broken")
 	}
 }
 
-func ExampleEngine() {
+func ExampleSemantics() {
 	tr, _ := trace.ParseTextString("t0 acq l0\nt0 w x0\nt0 rel l0\nt1 acq l0\nt1 r x0\nt1 rel l0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := engine.New(NewSemantics[*core.TreeClock](), core.Factory(nil))
 	det := e.EnableRaceDetection()
 	e.Process(tr.Events)
 	fmt.Println("races:", det.Acc.Total)

@@ -11,7 +11,6 @@ package maz
 import (
 	"treeclock/internal/analysis"
 	"treeclock/internal/engine"
-	"treeclock/internal/trace"
 	"treeclock/internal/vt"
 )
 
@@ -131,27 +130,4 @@ func (s *Semantics[C]) Write(rt *engine.Runtime[C], t vt.TID, x int32, ct C) {
 	// ct has just joined lw, so lw ⊑ ct: monotone.
 	vs.lw.MonotoneCopy(ct)
 	vs.lwT = t
-}
-
-// Engine computes MAZ timestamps while streaming events. It is the
-// shared runtime bound to the MAZ semantics; every method (including
-// EnableAnalysis/Analysis for reversible-pair counting) is promoted
-// from engine.Runtime.
-type Engine[C vt.Clock[C]] struct {
-	engine.Runtime[C]
-}
-
-// New builds a MAZ engine pre-sized for traces with the given metadata.
-func New[C vt.Clock[C]](meta trace.Meta, factory vt.Factory[C]) *Engine[C] {
-	e := &Engine[C]{}
-	e.Runtime = *engine.NewWithMeta[C](NewSemantics[C](), factory, meta)
-	return e
-}
-
-// NewStreaming builds a MAZ engine that discovers the trace's
-// identifier spaces on the fly (no prior metadata).
-func NewStreaming[C vt.Clock[C]](factory vt.Factory[C]) *Engine[C] {
-	e := &Engine[C]{}
-	e.Runtime = *engine.New[C](NewSemantics[C](), factory)
-	return e
 }

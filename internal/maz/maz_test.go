@@ -5,12 +5,18 @@ import (
 
 	"treeclock/internal/analysis"
 	"treeclock/internal/core"
+	"treeclock/internal/engine"
 	"treeclock/internal/gen"
 	"treeclock/internal/oracle"
 	"treeclock/internal/trace"
 	"treeclock/internal/vc"
 	"treeclock/internal/vt"
 )
+
+// newEngine binds the MAZ semantics to a fresh runtime over f.
+func newEngine[C vt.Clock[C]](f vt.Factory[C]) *engine.Runtime[C] {
+	return engine.New[C](NewSemantics[C](), f)
+}
 
 func parse(t *testing.T, s string) *trace.Trace {
 	t.Helper()
@@ -42,12 +48,11 @@ func randomTraces() []*trace.Trace {
 	return out
 }
 
-func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res *oracle.Result, label string) {
+func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *engine.Runtime[C], res *oracle.Result, label string) {
 	t.Helper()
-	dst := vt.NewVector(tr.Meta.Threads)
 	for i, ev := range tr.Events {
 		e.Step(ev)
-		got := e.Timestamp(ev.T, dst)
+		got := e.Timestamp(ev.T, vt.NewVector(tr.Meta.Threads))
 		if !got.Equal(res.Post[i]) {
 			t.Fatalf("%s: %s event %d (%v): timestamp %v, oracle %v", label, tr.Meta.Name, i, ev, got, res.Post[i])
 		}
@@ -57,8 +62,8 @@ func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res
 func TestMAZMatchesOracleBothClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.MAZ)
-		stepCompare(t, tr, New(tr.Meta, core.Factory(nil)), res, "tree clock")
-		stepCompare(t, tr, New(tr.Meta, vc.Factory(nil)), res, "vector clock")
+		stepCompare(t, tr, newEngine(core.Factory(nil)), res, "tree clock")
+		stepCompare(t, tr, newEngine(vc.Factory(nil)), res, "vector clock")
 	}
 }
 
@@ -66,7 +71,7 @@ func TestMAZHandComputed(t *testing.T) {
 	// Conflicting accesses are ordered by trace order even without
 	// locks; read-to-write orderings are included.
 	tr := parse(t, "t0 w x0\nt1 r x0\nt2 w x0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	e.Process(tr.Events)
 	if got := e.Timestamp(2, vt.NewVector(3)); !got.Equal(vt.Vector{1, 1, 1}) {
 		t.Errorf("t2 timestamp = %v, want [1, 1, 1]", got)
@@ -87,8 +92,8 @@ func TestMAZNoConcurrentConflicting(t *testing.T) {
 func TestVTWorkIdenticalAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		var stTC, stVC vt.WorkStats
-		New(tr.Meta, core.Factory(&stTC)).Process(tr.Events)
-		New(tr.Meta, vc.Factory(&stVC)).Process(tr.Events)
+		newEngine(core.Factory(&stTC)).Process(tr.Events)
+		newEngine(vc.Factory(&stVC)).Process(tr.Events)
 		if stTC.Changed != stVC.Changed {
 			t.Errorf("%s: VTWork disagrees: tree %d vs vector %d", tr.Meta.Name, stTC.Changed, stVC.Changed)
 		}
@@ -150,10 +155,10 @@ func TestAnalysisMatchesOracleMirror(t *testing.T) {
 		res := oracle.Timestamps(tr, oracle.MAZ)
 		wantTotal, wantKinds := mirrorAnalysis(tr, res)
 
-		eTC := New(tr.Meta, core.Factory(nil))
+		eTC := newEngine(core.Factory(nil))
 		accTC := eTC.EnableAnalysis()
 		eTC.Process(tr.Events)
-		eVC := New(tr.Meta, vc.Factory(nil))
+		eVC := newEngine(vc.Factory(nil))
 		accVC := eVC.EnableAnalysis()
 		eVC.Process(tr.Events)
 
@@ -173,7 +178,7 @@ func TestAnalysisMatchesOracleMirror(t *testing.T) {
 
 func TestAnalysisOnSyncOnlyTraceIsZero(t *testing.T) {
 	tr := gen.SingleLock(6, 500, 2)
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	acc := e.EnableAnalysis()
 	e.Process(tr.Events)
 	if acc.Total != 0 {
@@ -192,7 +197,7 @@ func TestAnalysisOnSyncOnlyTraceIsZero(t *testing.T) {
 
 func TestAnalysisFindsRacyPair(t *testing.T) {
 	tr := parse(t, "t0 w x0\nt1 w x0\nt1 r x0\nt0 w x0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	acc := e.EnableAnalysis()
 	e.Process(tr.Events)
 	// e0-e1 (w-w, unordered before the direct edge), e1's read is by

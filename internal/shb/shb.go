@@ -10,7 +10,6 @@ package shb
 
 import (
 	"treeclock/internal/engine"
-	"treeclock/internal/trace"
 	"treeclock/internal/vt"
 )
 
@@ -59,27 +58,4 @@ func (s *Semantics[C]) Write(rt *engine.Runtime[C], t vt.TID, x int32, ct C) {
 		s.lwSet[x] = true
 	}
 	s.lw[x].CopyCheckMonotone(ct)
-}
-
-// Engine computes SHB timestamps while streaming events. It is the
-// shared runtime bound to the SHB semantics; every method is promoted
-// from engine.Runtime.
-type Engine[C vt.Clock[C]] struct {
-	engine.Runtime[C]
-}
-
-// New builds an SHB engine pre-sized for traces with the given
-// metadata.
-func New[C vt.Clock[C]](meta trace.Meta, factory vt.Factory[C]) *Engine[C] {
-	e := &Engine[C]{}
-	e.Runtime = *engine.NewWithMeta[C](NewSemantics[C](), factory, meta)
-	return e
-}
-
-// NewStreaming builds an SHB engine that discovers the trace's
-// identifier spaces on the fly (no prior metadata).
-func NewStreaming[C vt.Clock[C]](factory vt.Factory[C]) *Engine[C] {
-	e := &Engine[C]{}
-	e.Runtime = *engine.New[C](NewSemantics[C](), factory)
-	return e
 }

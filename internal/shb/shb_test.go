@@ -4,12 +4,18 @@ import (
 	"testing"
 
 	"treeclock/internal/core"
+	"treeclock/internal/engine"
 	"treeclock/internal/gen"
 	"treeclock/internal/oracle"
 	"treeclock/internal/trace"
 	"treeclock/internal/vc"
 	"treeclock/internal/vt"
 )
+
+// newEngine binds the SHB semantics to a fresh runtime over f.
+func newEngine[C vt.Clock[C]](f vt.Factory[C]) *engine.Runtime[C] {
+	return engine.New[C](NewSemantics[C](), f)
+}
 
 func parse(t *testing.T, s string) *trace.Trace {
 	t.Helper()
@@ -41,12 +47,11 @@ func randomTraces() []*trace.Trace {
 	return out
 }
 
-func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res *oracle.Result, label string) {
+func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *engine.Runtime[C], res *oracle.Result, label string) {
 	t.Helper()
-	dst := vt.NewVector(tr.Meta.Threads)
 	for i, ev := range tr.Events {
 		e.Step(ev)
-		got := e.Timestamp(ev.T, dst)
+		got := e.Timestamp(ev.T, vt.NewVector(tr.Meta.Threads))
 		if !got.Equal(res.Post[i]) {
 			t.Fatalf("%s: %s event %d (%v): timestamp %v, oracle %v", label, tr.Meta.Name, i, ev, got, res.Post[i])
 		}
@@ -56,8 +61,8 @@ func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res
 func TestSHBMatchesOracleBothClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.SHB)
-		stepCompare(t, tr, New(tr.Meta, core.Factory(nil)), res, "tree clock")
-		stepCompare(t, tr, New(tr.Meta, vc.Factory(nil)), res, "vector clock")
+		stepCompare(t, tr, newEngine(core.Factory(nil)), res, "tree clock")
+		stepCompare(t, tr, newEngine(vc.Factory(nil)), res, "vector clock")
 	}
 }
 
@@ -65,7 +70,7 @@ func TestSHBHandComputed(t *testing.T) {
 	// The last-write edge orders t0's write before t1's read even
 	// without any lock.
 	tr := parse(t, "t0 w x0\nt1 r x0\nt1 w x1\nt0 r x1\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	e.Process(tr.Events)
 	if got := e.Timestamp(0, vt.NewVector(2)); !got.Equal(vt.Vector{2, 2}) {
 		t.Errorf("t0 timestamp = %v, want [2, 2]", got)
@@ -78,8 +83,8 @@ func TestSHBHandComputed(t *testing.T) {
 func TestVTWorkIdenticalAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		var stTC, stVC vt.WorkStats
-		New(tr.Meta, core.Factory(&stTC)).Process(tr.Events)
-		New(tr.Meta, vc.Factory(&stVC)).Process(tr.Events)
+		newEngine(core.Factory(&stTC)).Process(tr.Events)
+		newEngine(vc.Factory(&stVC)).Process(tr.Events)
 		if stTC.Changed != stVC.Changed {
 			t.Errorf("%s: VTWork disagrees: tree %d vs vector %d", tr.Meta.Name, stTC.Changed, stVC.Changed)
 		}
@@ -96,7 +101,7 @@ func TestVTWorkIdenticalAcrossClocks(t *testing.T) {
 func TestDeepCopiesEqualWWRaces(t *testing.T) {
 	for _, tr := range randomTraces() {
 		var st vt.WorkStats
-		e := New(tr.Meta, core.Factory(&st))
+		e := newEngine(core.Factory(&st))
 		det := e.EnableRaceDetection()
 		e.Process(tr.Events)
 		if st.DeepCopies != det.Acc.ByKind[0] { // WriteWrite
@@ -129,7 +134,7 @@ func shbPreRaces(tr *trace.Trace, res *oracle.Result) map[int32]bool {
 func TestSHBRaceDetectionAgainstOracle(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.SHB)
-		e := New(tr.Meta, core.Factory(nil))
+		e := newEngine(core.Factory(nil))
 		det := e.EnableRaceDetection()
 		e.Process(tr.Events)
 
@@ -170,10 +175,10 @@ func TestSHBRaceDetectionAgainstOracle(t *testing.T) {
 
 func TestSHBRaceDetectionAgreesAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
-		eTC := New(tr.Meta, core.Factory(nil))
+		eTC := newEngine(core.Factory(nil))
 		dTC := eTC.EnableRaceDetection()
 		eTC.Process(tr.Events)
-		eVC := New(tr.Meta, vc.Factory(nil))
+		eVC := newEngine(vc.Factory(nil))
 		dVC := eVC.EnableRaceDetection()
 		eVC.Process(tr.Events)
 		if dTC.Acc.Summary() != dVC.Acc.Summary() {
@@ -189,7 +194,7 @@ func TestSHBRaceDetectionAgreesAcrossClocks(t *testing.T) {
 // later read by t0 races t1's write too, and SHB still sees it.
 func TestSHBDetectsRacesAfterFirst(t *testing.T) {
 	tr := parse(t, "t0 w x0\nt1 w x0\nt0 r x0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	det := e.EnableRaceDetection()
 	e.Process(tr.Events)
 	sum := det.Acc.Summary()
@@ -200,7 +205,7 @@ func TestSHBDetectsRacesAfterFirst(t *testing.T) {
 
 func TestWellSyncedNoRaces(t *testing.T) {
 	tr := gen.ProducerConsumer(2, 2, 400, 11)
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(core.Factory(nil))
 	det := e.EnableRaceDetection()
 	e.Process(tr.Events)
 	if det.Acc.Total != 0 {

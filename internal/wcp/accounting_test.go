@@ -40,8 +40,9 @@ func checkStats(t *testing.T, label string, ms engine.MemStats) {
 // behind a later compensating error, and finally checks every parked
 // history chunk holds only zero snapshots.
 func churnAccounting[C vt.Clock[C], W vt.WeakClock[W, S], S any, F vt.SnapStore[W, S]](
-	t *testing.T, label string, e *EngineOf[C, W, S, F], stale func(*S) bool, n int) {
+	t *testing.T, label string, sem *SemanticsOf[C, W, S, F], f vt.Factory[C], stale func(*S) bool, n int) {
 	t.Helper()
+	e := engine.New(sem, f)
 	e.EnableAnalysis()
 	src := gen.Take(gen.HotLock(soakThreads, 20260807), n)
 	buf := make([]trace.Event, 512)
@@ -50,16 +51,16 @@ func churnAccounting[C vt.Clock[C], W vt.WeakClock[W, S], S any, F vt.SnapStore[
 		for i := 0; i < k; i++ {
 			e.Step(buf[i])
 		}
-		checkStats(t, label, e.Sem().MemStats())
+		checkStats(t, label, sem.MemStats())
 		if !ok {
 			break
 		}
 	}
-	ms := e.Sem().MemStats()
+	ms := sem.MemStats()
 	if ms.DroppedEntries == 0 {
 		t.Fatalf("%s: compaction never ran — the test exercised nothing", label)
 	}
-	for _, chunk := range e.Sem().histFree {
+	for _, chunk := range sem.histFree {
 		for i := range chunk {
 			if stale(&chunk[i].rel) {
 				t.Fatalf("%s: recycled history chunk slot %d holds a stale snapshot %+v", label, i, chunk[i].rel)
@@ -71,8 +72,8 @@ func churnAccounting[C vt.Clock[C], W vt.WeakClock[W, S], S any, F vt.SnapStore[
 	// drop that was double-counted in one of the two paths shows up as
 	// a mismatch.
 	var walked uint64
-	for l := range e.Sem().locks {
-		walked += e.Sem().lockStat(int32(l)).RetainedBytes
+	for l := range sem.locks {
+		walked += sem.lockStat(int32(l)).RetainedBytes
 	}
 	if walked > sane {
 		t.Fatalf("%s: per-lock walk retained %d bytes — unsigned underflow", label, walked)
@@ -85,11 +86,11 @@ func TestWCPAccountingNeverNegativeUnderChurn(t *testing.T) {
 		n = 20_000
 	}
 	t.Run("sparse", func(t *testing.T) {
-		churnAccounting(t, "sparse", NewStreaming[*vc.VectorClock](vc.Factory(nil)),
+		churnAccounting(t, "sparse", NewSemantics[*vc.VectorClock](), vc.Factory(nil),
 			func(s *vt.SparseSnap) bool { return !s.IsZero() }, n)
 	})
 	t.Run("flat", func(t *testing.T) {
-		churnAccounting(t, "flat", NewStreamingFlat[*vc.VectorClock](vc.Factory(nil)),
+		churnAccounting(t, "flat", NewSemanticsFlat[*vc.VectorClock](), vc.Factory(nil),
 			func(s *vt.Vector) bool { return *s != nil }, n)
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"treeclock/internal/analysis"
+	"treeclock/internal/engine"
 	"treeclock/internal/gen"
 	"treeclock/internal/oracle"
 	"treeclock/internal/vc"
@@ -25,15 +26,16 @@ import (
 func TestWCPSummaryAgingMatchesRetained(t *testing.T) {
 	var evicted uint64
 	for _, tr := range randomTraces() {
-		run := func(cap int) (*Engine[*vc.VectorClock], *analysis.Accumulator) {
-			e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-			e.Sem().SetSummaryCap(cap)
+		run := func(cap int) (*engine.Runtime[*vc.VectorClock], *Semantics[*vc.VectorClock], *analysis.Accumulator) {
+			sem := NewSemantics[*vc.VectorClock]()
+			sem.SetSummaryCap(cap)
+			e := engine.New(sem, vc.Factory(nil))
 			acc := e.EnableAnalysis()
 			e.Process(tr.Events)
-			return e, acc
+			return e, sem, acc
 		}
-		eA, aA := run(2) // aggressive: sweep at nearly every release
-		eR, aR := run(0)
+		eA, sA, aA := run(2) // aggressive: sweep at nearly every release
+		eR, sR, aR := run(0)
 		if aA.Summary() != aR.Summary() {
 			t.Errorf("%s: aged %+v, retained %+v", tr.Meta.Name, aA.Summary(), aR.Summary())
 		}
@@ -43,14 +45,14 @@ func TestWCPSummaryAgingMatchesRetained(t *testing.T) {
 			}
 		}
 		k := tr.Meta.Threads
-		for th := 0; th < k; th++ {
-			got := eA.Timestamp(vt.TID(th), vt.NewVector(k))
-			want := eR.Timestamp(vt.TID(th), vt.NewVector(k))
+		for th := 0; th < eA.Threads(); th++ {
+			got := timestamp(eA, sA, vt.TID(th), vt.NewVector(k))
+			want := timestamp(eR, sR, vt.TID(th), vt.NewVector(k))
 			if !got.Equal(want) {
 				t.Fatalf("%s: thread %d: aged %v, retained %v", tr.Meta.Name, th, got, want)
 			}
 		}
-		msA, msR := eA.Sem().MemStats(), eR.Sem().MemStats()
+		msA, msR := sA.MemStats(), sR.MemStats()
 		if msR.SummaryEvictions != 0 {
 			t.Errorf("%s: uncapped run evicted %d summaries", tr.Meta.Name, msR.SummaryEvictions)
 		}
@@ -89,10 +91,10 @@ t2 w x0
 t2 rel l0
 `)
 	res := oracle.Timestamps(tr, oracle.WCP)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-	e.Sem().SetSummaryCap(1)
-	stepCompare(t, tr, e, res, "aging late-thread")
-	if ms := e.Sem().MemStats(); ms.SummaryEvictions == 0 {
+	sem := NewSemantics[*vc.VectorClock]()
+	sem.SetSummaryCap(1)
+	stepCompare(t, tr, engine.New(sem, vc.Factory(nil)), sem, res, "aging late-thread")
+	if ms := sem.MemStats(); ms.SummaryEvictions == 0 {
 		t.Errorf("no summary evicted before the late thread arrived: %+v", ms)
 	}
 }
@@ -108,21 +110,22 @@ func TestWCPSummaryAgingChurnPlateau(t *testing.T) {
 		n = 80_000
 	}
 	const cap = 64
-	run := func(cap int) (*Engine[*vc.VectorClock], *analysis.Accumulator) {
-		e := NewStreaming[*vc.VectorClock](vc.Factory(nil))
-		e.Sem().SetSummaryCap(cap)
+	run := func(cap int) (*Semantics[*vc.VectorClock], *analysis.Accumulator) {
+		sem := NewSemantics[*vc.VectorClock]()
+		sem.SetSummaryCap(cap)
+		e := engine.New(sem, vc.Factory(nil))
 		acc := e.EnableAnalysis()
 		if err := e.ProcessSource(gen.Take(gen.ChurningVars(8, 256, 10, 33), n)); err != nil {
 			t.Fatal(err)
 		}
-		return e, acc
+		return sem, acc
 	}
-	eC, aC := run(cap)
-	eU, aU := run(0)
+	sC, aC := run(cap)
+	sU, aU := run(0)
 	if aC.Summary() != aU.Summary() {
 		t.Errorf("capped summary %+v, uncapped %+v", aC.Summary(), aU.Summary())
 	}
-	msC, msU := eC.Sem().MemStats(), eU.Sem().MemStats()
+	msC, msU := sC.MemStats(), sU.MemStats()
 	// The sweep triggers above the cap and defers the next sweep by
 	// cap/8; live state between sweeps stays under cap plus one
 	// hysteresis step plus whatever held locks pin.

@@ -31,8 +31,9 @@ const soakBound = 4 * soakThreads
 // returns its retained-state accounting plus the race total.
 func soakRun[C vt.Clock[C]](t *testing.T, f vt.Factory[C], n int, compact bool) (engine.MemStats, uint64) {
 	t.Helper()
-	e := NewStreaming[C](f)
-	e.Sem().SetCompaction(compact)
+	sem := NewSemantics[C]()
+	sem.SetCompaction(compact)
+	e := engine.New(sem, f)
 	acc := e.EnableAnalysis()
 	if err := e.ProcessSource(gen.Take(gen.HotLock(soakThreads, 20260730), n)); err != nil {
 		t.Fatalf("soak stream: %v", err)
@@ -40,7 +41,7 @@ func soakRun[C vt.Clock[C]](t *testing.T, f vt.Factory[C], n int, compact bool) 
 	if got := e.Events(); got != uint64(n) {
 		t.Fatalf("processed %d events, want %d", got, n)
 	}
-	return e.Sem().MemStats(), acc.Total
+	return sem.MemStats(), acc.Total
 }
 
 // TestWCPSoakBoundedHistory is the acceptance soak: ≥5M events (capped

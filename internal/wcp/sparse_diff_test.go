@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"treeclock/internal/core"
+	"treeclock/internal/engine"
 	"treeclock/internal/gen"
 	"treeclock/internal/oracle"
 	"treeclock/internal/vc"
@@ -23,8 +24,8 @@ import (
 // (everything except the representation-specific byte/pool numbers).
 func TestWCPFlatSparseByteIdentical(t *testing.T) {
 	for _, tr := range randomTraces() {
-		sp := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-		fl := NewFlat[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+		semS, semF := NewSemantics[*vc.VectorClock](), NewSemanticsFlat[*vc.VectorClock]()
+		sp, fl := engine.New(semS, vc.Factory(nil)), engine.New(semF, vc.Factory(nil))
 		aS := sp.EnableAnalysis()
 		aF := fl.EnableAnalysis()
 		k := tr.Meta.Threads
@@ -33,8 +34,8 @@ func TestWCPFlatSparseByteIdentical(t *testing.T) {
 		for i, ev := range tr.Events {
 			sp.Step(ev)
 			fl.Step(ev)
-			got := sp.Sem().Timestamp(ev.T, lt[i], dstS)
-			want := fl.Sem().Timestamp(ev.T, lt[i], dstF)
+			got := semS.Timestamp(ev.T, lt[i], dstS)
+			want := semF.Timestamp(ev.T, lt[i], dstF)
 			if !got.Equal(want) {
 				t.Fatalf("%s: event %d (%v): sparse %v, flat %v", tr.Meta.Name, i, ev, got, want)
 			}
@@ -47,7 +48,7 @@ func TestWCPFlatSparseByteIdentical(t *testing.T) {
 				t.Errorf("%s: sample %d diverges: %v vs %v", tr.Meta.Name, i, aS.Samples[i], aF.Samples[i])
 			}
 		}
-		msS, msF := sp.Sem().MemStats(), fl.Sem().MemStats()
+		msS, msF := semS.MemStats(), semF.MemStats()
 		if msS.HistEntries != msF.HistEntries || msS.PeakLockHist != msF.PeakLockHist ||
 			msS.DroppedEntries != msF.DroppedEntries || msS.SummaryVectors != msF.SummaryVectors {
 			t.Errorf("%s: retained-state counters diverge:\nsparse %+v\nflat   %+v", tr.Meta.Name, msS, msF)
@@ -60,8 +61,8 @@ func TestWCPFlatSparseByteIdentical(t *testing.T) {
 // independently).
 func TestWCPFlatSparseAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
-		sp := New[*core.TreeClock](tr.Meta, core.Factory(nil))
-		fl := NewFlat[*core.TreeClock](tr.Meta, core.Factory(nil))
+		semS, semF := NewSemantics[*core.TreeClock](), NewSemanticsFlat[*core.TreeClock]()
+		sp, fl := engine.New(semS, core.Factory(nil)), engine.New(semF, core.Factory(nil))
 		aS := sp.EnableAnalysis()
 		aF := fl.EnableAnalysis()
 		sp.Process(tr.Events)
@@ -70,9 +71,9 @@ func TestWCPFlatSparseAcrossClocks(t *testing.T) {
 			t.Errorf("%s: summaries diverge: sparse %+v, flat %+v", tr.Meta.Name, aS.Summary(), aF.Summary())
 		}
 		k := tr.Meta.Threads
-		for th := 0; th < k; th++ {
-			got := sp.Timestamp(vt.TID(th), vt.NewVector(k))
-			want := fl.Timestamp(vt.TID(th), vt.NewVector(k))
+		for th := 0; th < sp.Threads(); th++ {
+			got := timestamp(sp, semS, vt.TID(th), vt.NewVector(k))
+			want := timestamp(fl, semF, vt.TID(th), vt.NewVector(k))
 			if !got.Equal(want) {
 				t.Fatalf("%s: thread %d: sparse %v, flat %v", tr.Meta.Name, th, got, want)
 			}
@@ -109,14 +110,14 @@ func TestWCPThreadChurnAcrossReleases(t *testing.T) {
 	lt := tr.LocalTimes()
 	k := tr.Meta.Threads
 
-	sp := NewStreaming[*vc.VectorClock](vc.Factory(nil))
-	fl := NewStreamingFlat[*vc.VectorClock](vc.Factory(nil))
+	semS, semF := NewSemantics[*vc.VectorClock](), NewSemanticsFlat[*vc.VectorClock]()
+	sp, fl := engine.New(semS, vc.Factory(nil)), engine.New(semF, vc.Factory(nil))
 	dstS, dstF := vt.NewVector(k), vt.NewVector(k)
 	for i, ev := range tr.Events {
 		sp.Step(ev)
 		fl.Step(ev)
-		gotS := sp.Sem().Timestamp(ev.T, lt[i], dstS)
-		gotF := fl.Sem().Timestamp(ev.T, lt[i], dstF)
+		gotS := semS.Timestamp(ev.T, lt[i], dstS)
+		gotF := semF.Timestamp(ev.T, lt[i], dstF)
 		want := res.Post[i]
 		if !gotS.Equal(want) {
 			t.Fatalf("sparse: event %d (%v): timestamp %v, oracle %v", i, ev, gotS, want)
@@ -126,13 +127,13 @@ func TestWCPThreadChurnAcrossReleases(t *testing.T) {
 		}
 	}
 	for th := 0; th < k; th++ {
-		got := fl.Timestamp(vt.TID(th), vt.NewVector(k))
-		want := sp.Timestamp(vt.TID(th), vt.NewVector(k))
+		got := timestamp(fl, semF, vt.TID(th), vt.NewVector(k))
+		want := timestamp(sp, semS, vt.TID(th), vt.NewVector(k))
 		if !got.Equal(want) {
 			t.Fatalf("thread %d: flat %v, sparse %v", th, got, want)
 		}
 	}
-	msF := fl.Sem().MemStats()
+	msF := semF.MemStats()
 	if msF.DroppedEntries == 0 {
 		t.Fatalf("churn workload never compacted — the free list was never exercised: %+v", msF)
 	}
@@ -145,11 +146,11 @@ func TestWCPThreadChurnAcrossReleases(t *testing.T) {
 // segments of compacted history entries circulate through the shared
 // pool instead of garbage.
 func TestWCPSparsePoolRecyclesAcrossCompaction(t *testing.T) {
-	e := NewStreaming[*vc.VectorClock](vc.Factory(nil))
-	if err := e.ProcessSource(gen.Take(gen.HotLock(6, 11), 30000)); err != nil {
+	sem := NewSemantics[*vc.VectorClock]()
+	if err := engine.New(sem, vc.Factory(nil)).ProcessSource(gen.Take(gen.HotLock(6, 11), 30000)); err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	ms := e.Sem().MemStats()
+	ms := sem.MemStats()
 	if ms.DroppedEntries == 0 {
 		t.Fatalf("hot-lock run compacted nothing: %+v", ms)
 	}

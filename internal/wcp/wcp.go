@@ -50,7 +50,7 @@
 // The weak clocks and release snapshots are generic over the transport
 // representation (vt.WeakClock / vt.SnapStore): the flat Θ(k) vectors
 // that used to be hard-coded remain available as the differential
-// baseline (NewSemanticsFlat, NewFlat), but the default is the sparse
+// baseline (NewSemanticsFlat), but the default is the sparse
 // copy-on-write segment representation of vt.Sparse/vt.SparseStore.
 // Its costs per release are
 //
@@ -176,7 +176,6 @@ package wcp
 import (
 	"treeclock/internal/analysis"
 	"treeclock/internal/engine"
-	"treeclock/internal/trace"
 	"treeclock/internal/vt"
 )
 
@@ -1096,69 +1095,6 @@ func (s *SemanticsOf[C, W, S, F]) Timestamp(t vt.TID, lt vt.Time, dst vt.Vector)
 	}
 	dst[t] = lt
 	return dst
-}
-
-// EngineOf computes WCP timestamps while streaming events. It is the
-// shared runtime bound to the WCP semantics; every runtime method is
-// promoted. Enable reporting with EnableAnalysis (WCP performs its own
-// epoch checks, like MAZ).
-type EngineOf[C vt.Clock[C], W vt.WeakClock[W, S], S any, F vt.SnapStore[W, S]] struct {
-	engine.Runtime[C]
-	sem *SemanticsOf[C, W, S, F]
-}
-
-// Engine is EngineOf on the default sparse weak-clock transport.
-type Engine[C vt.Clock[C]] = EngineOf[C, *vt.Sparse, vt.SparseSnap, *vt.SparseStore]
-
-// FlatEngine is EngineOf on the flat-vector weak-clock transport.
-type FlatEngine[C vt.Clock[C]] = EngineOf[C, *vt.FlatWeak, vt.Vector, *vt.FlatStore]
-
-// Sem returns the bound semantics (weak clocks, for inspection).
-func (e *EngineOf[C, W, S, F]) Sem() *SemanticsOf[C, W, S, F] { return e.sem }
-
-// Timestamp snapshots thread t's current WCP ∪ thread-order vector
-// time into dst, shadowing the promoted runtime method (whose thread
-// clocks are the HB scaffolding): like every other engine, a WCP
-// engine's timestamps are timestamps of the order it computes. The
-// thread's local time is read off its HB clock (own entries agree
-// across all orders).
-func (e *EngineOf[C, W, S, F]) Timestamp(t vt.TID, dst vt.Vector) vt.Vector {
-	return e.sem.Timestamp(t, e.ThreadClock(t).Get(t), dst)
-}
-
-// New builds a WCP engine pre-sized for traces with the given
-// metadata.
-func New[C vt.Clock[C]](meta trace.Meta, factory vt.Factory[C]) *Engine[C] {
-	sem := NewSemantics[C]()
-	e := &Engine[C]{sem: sem}
-	e.Runtime = *engine.NewWithMeta[C](sem, factory, meta)
-	return e
-}
-
-// NewStreaming builds a WCP engine that discovers the trace's
-// identifier spaces on the fly (no prior metadata).
-func NewStreaming[C vt.Clock[C]](factory vt.Factory[C]) *Engine[C] {
-	sem := NewSemantics[C]()
-	e := &Engine[C]{sem: sem}
-	e.Runtime = *engine.New[C](sem, factory)
-	return e
-}
-
-// NewFlat is New on the flat-vector weak-clock transport.
-func NewFlat[C vt.Clock[C]](meta trace.Meta, factory vt.Factory[C]) *FlatEngine[C] {
-	sem := NewSemanticsFlat[C]()
-	e := &FlatEngine[C]{sem: sem}
-	e.Runtime = *engine.NewWithMeta[C](sem, factory, meta)
-	return e
-}
-
-// NewStreamingFlat is NewStreaming on the flat-vector weak-clock
-// transport.
-func NewStreamingFlat[C vt.Clock[C]](factory vt.Factory[C]) *FlatEngine[C] {
-	sem := NewSemanticsFlat[C]()
-	e := &FlatEngine[C]{sem: sem}
-	e.Runtime = *engine.New[C](sem, factory)
-	return e
 }
 
 // noClock is a minimal vt.Clock used only for the compile-time

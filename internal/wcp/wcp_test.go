@@ -49,16 +49,16 @@ func randomTraces() []*trace.Trace {
 	return out
 }
 
-// stepCompare runs the engine event by event and compares each event's
-// WCP ∪ thread-order timestamp with the oracle's.
-func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res *oracle.Result, label string) {
+// stepCompare runs the runtime bound to sem event by event and compares
+// each event's WCP ∪ thread-order timestamp with the oracle's.
+func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, rt *engine.Runtime[C], sem *Semantics[C], res *oracle.Result, label string) {
 	t.Helper()
 	k := tr.Meta.Threads
 	lt := tr.LocalTimes()
 	dst := vt.NewVector(k)
 	for i, ev := range tr.Events {
-		e.Step(ev)
-		got := e.Sem().Timestamp(ev.T, lt[i], dst)
+		rt.Step(ev)
+		got := sem.Timestamp(ev.T, lt[i], dst)
 		if !got.Equal(res.Post[i]) {
 			t.Fatalf("%s: %s event %d (%v): timestamp %v, oracle %v",
 				label, tr.Meta.Name, i, ev, got, res.Post[i])
@@ -66,13 +66,19 @@ func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res
 	}
 }
 
+// timestamp is thread t's WCP ∪ thread-order time, as the registry
+// reports it: t's weak clock plus its local time off the HB clock.
+func timestamp[C vt.Clock[C], W vt.WeakClock[W, S], S any, F vt.SnapStore[W, S]](rt *engine.Runtime[C], sem *SemanticsOf[C, W, S, F], t vt.TID, dst vt.Vector) vt.Vector {
+	return sem.Timestamp(t, rt.ThreadClock(t).Get(t), dst)
+}
+
 func TestWCPMatchesOracleBothClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.WCP)
-		eTC := New[*core.TreeClock](tr.Meta, core.Factory(nil))
-		stepCompare(t, tr, eTC, res, "tree clock")
-		eVC := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-		stepCompare(t, tr, eVC, res, "vector clock")
+		semTC := NewSemantics[*core.TreeClock]()
+		stepCompare(t, tr, engine.New(semTC, core.Factory(nil)), semTC, res, "tree clock")
+		semVC := NewSemantics[*vc.VectorClock]()
+		stepCompare(t, tr, engine.New(semVC, vc.Factory(nil)), semVC, res, "vector clock")
 	}
 }
 
@@ -92,7 +98,7 @@ func eventIndex(tr *trace.Trace) map[vt.Epoch]int {
 func TestWCPRacesAgainstOracle(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.WCP)
-		e := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+		e := engine.New(NewSemantics[*core.TreeClock](), core.Factory(nil))
 		acc := e.EnableAnalysis()
 		e.Process(tr.Events)
 
@@ -130,10 +136,10 @@ func TestWCPRacesAgainstOracle(t *testing.T) {
 // shared; the HB backbone must agree too).
 func TestWCPAgreesAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
-		eTC := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+		eTC := engine.New(NewSemantics[*core.TreeClock](), core.Factory(nil))
 		aTC := eTC.EnableAnalysis()
 		eTC.Process(tr.Events)
-		eVC := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+		eVC := engine.New(NewSemantics[*vc.VectorClock](), vc.Factory(nil))
 		aVC := eVC.EnableAnalysis()
 		eVC.Process(tr.Events)
 		if aTC.Summary() != aVC.Summary() {
@@ -160,7 +166,7 @@ t1 w x2
 t1 rel l0
 t1 w x0
 `)
-	e := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+	e := engine.New(NewSemantics[*core.TreeClock](), core.Factory(nil))
 	acc := e.EnableAnalysis()
 	e.Process(tr.Events)
 	if acc.Total != 1 {
@@ -184,7 +190,7 @@ t1 w x0
 t1 r x0
 t1 rel l0
 `)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+	e := engine.New(NewSemantics[*vc.VectorClock](), vc.Factory(nil))
 	acc := e.EnableAnalysis()
 	e.Process(tr.Events)
 	if acc.Total != 0 {
@@ -192,23 +198,27 @@ t1 rel l0
 	}
 }
 
-// TestWCPStreamingMatchesPreSized: the dynamically growing runtime
-// (no metadata) computes the same report as the pre-sized one.
+// TestWCPStreamingMatchesPreSized: a runtime whose clocks grow as
+// threads appear computes the same report and weak-order timestamps as
+// one whose clocks are allocated at the trace's thread count up front.
 func TestWCPStreamingMatchesPreSized(t *testing.T) {
 	for _, tr := range randomTraces() {
-		sized := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+		k := tr.Meta.Threads
+		full := core.Factory(nil)
+		semS := NewSemantics[*core.TreeClock]()
+		sized := engine.New(semS, func(int) *core.TreeClock { return full(k) })
 		aS := sized.EnableAnalysis()
 		sized.Process(tr.Events)
-		dyn := NewStreaming[*core.TreeClock](core.Factory(nil))
+		semD := NewSemantics[*core.TreeClock]()
+		dyn := engine.New(semD, core.Factory(nil))
 		aD := dyn.EnableAnalysis()
 		dyn.Process(tr.Events)
 		if aS.Summary() != aD.Summary() {
 			t.Errorf("%s: streaming %+v, pre-sized %+v", tr.Meta.Name, aD.Summary(), aS.Summary())
 		}
-		k := tr.Meta.Threads
 		for th := 0; th < dyn.Threads(); th++ {
-			got := dyn.Timestamp(vt.TID(th), vt.NewVector(k))
-			want := sized.Timestamp(vt.TID(th), vt.NewVector(k))
+			got := timestamp(dyn, semD, vt.TID(th), vt.NewVector(k))
+			want := timestamp(sized, semS, vt.TID(th), vt.NewVector(k))
 			if !got.Equal(want) {
 				t.Fatalf("%s: thread %d WCP timestamp %v, want %v", tr.Meta.Name, th, got, want)
 			}
@@ -248,10 +258,10 @@ func TestWCPMalformedLockPaths(t *testing.T) {
 		}},
 	}
 	for _, tc := range traces {
-		eTC := NewStreaming[*core.TreeClock](core.Factory(nil))
+		eTC := engine.New(NewSemantics[*core.TreeClock](), core.Factory(nil))
 		aTC := eTC.EnableAnalysis()
 		eTC.Process(tc.events)
-		eVC := NewStreaming[*vc.VectorClock](vc.Factory(nil))
+		eVC := engine.New(NewSemantics[*vc.VectorClock](), vc.Factory(nil))
 		aVC := eVC.EnableAnalysis()
 		eVC.Process(tc.events)
 		if aTC.Summary() != aVC.Summary() {
@@ -302,13 +312,13 @@ t1 rel l0
 t1 w x1
 `)
 	res := oracle.Timestamps(tr, oracle.WCP)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-	stepCompare(t, tr, e, res, "rule-b chain")
+	sem := NewSemantics[*vc.VectorClock]()
+	stepCompare(t, tr, engine.New(sem, vc.Factory(nil)), sem, res, "rule-b chain")
 	// The rule-(b) consequence must be visible in the weak clock of the
 	// thread that releases l0 second (the text's t1, interned as thread
 	// 2 by order of first appearance): the first l0 release — t0's
 	// fifth event — is WCP-before its final write.
-	if got := e.Sem().WeakClock(2).Get(0); got < 5 {
+	if got := sem.WeakClock(2).Get(0); got < 5 {
 		t.Errorf("weak clock entry for t0 = %d, want ≥ 5 (rule b)", got)
 	}
 }
@@ -330,13 +340,14 @@ t2 acq l0
 t2 w x1
 t2 rel l0
 `)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+	sem := NewSemantics[*vc.VectorClock]()
+	e := engine.New(sem, vc.Factory(nil))
 	e.Process(tr.Events)
 	k := tr.Meta.Threads
 	for th := 0; th < k; th++ {
-		want := e.Timestamp(vt.TID(th), vt.NewVector(k))
+		want := timestamp(e, sem, vt.TID(th), vt.NewVector(k))
 		for _, short := range []int{0, 1, th} {
-			got := e.Timestamp(vt.TID(th), vt.NewVector(short))
+			got := timestamp(e, sem, vt.TID(th), vt.NewVector(short))
 			if len(got) < int(vt.TID(th))+1 {
 				t.Fatalf("thread %d: dst of len %d returned len %d, own entry lost", th, short, len(got))
 			}
@@ -351,7 +362,7 @@ t2 rel l0
 		for i := range dirty {
 			dirty[i] = 999
 		}
-		got := e.Timestamp(vt.TID(th), dirty)
+		got := timestamp(e, sem, vt.TID(th), dirty)
 		for u := range got {
 			if u < k {
 				if got[u] != want[u] {
@@ -390,17 +401,17 @@ t1 acq l0
 t1 rel l0
 `)
 	res := oracle.Timestamps(tr, oracle.WCP)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-	stepCompare(t, tr, e, res, "late-thread")
+	sem := NewSemantics[*vc.VectorClock]()
+	stepCompare(t, tr, engine.New(sem, vc.Factory(nil)), sem, res, "late-thread")
 	// The rule-(b) consequence: t1's final weak clock knows t0's first
 	// l0 release (t0@5) via the absorbed snapshot, not just the
 	// summary's t0@4.
-	if got := e.Sem().WeakClock(1).Get(0); got != 5 {
+	if got := sem.WeakClock(1).Get(0); got != 5 {
 		t.Errorf("weak clock entry for t0 = %d, want 5 (absorbed first l0 section)", got)
 	}
 	// And the absorption makes the entry droppable: compaction must
 	// have reclaimed it at that same release.
-	if ms := e.Sem().MemStats(); ms.DroppedEntries == 0 {
+	if ms := sem.MemStats(); ms.DroppedEntries == 0 {
 		t.Errorf("no history entries compacted: %+v", ms)
 	}
 }
@@ -411,15 +422,16 @@ t1 rel l0
 // absorption would be a no-op.
 func TestWCPCompactionMatchesRetained(t *testing.T) {
 	for _, tr := range randomTraces() {
-		run := func(compact bool) (*Engine[*vc.VectorClock], *analysis.Accumulator) {
-			e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-			e.Sem().SetCompaction(compact)
+		run := func(compact bool) (*engine.Runtime[*vc.VectorClock], *Semantics[*vc.VectorClock], *analysis.Accumulator) {
+			sem := NewSemantics[*vc.VectorClock]()
+			sem.SetCompaction(compact)
+			e := engine.New(sem, vc.Factory(nil))
 			acc := e.EnableAnalysis()
 			e.Process(tr.Events)
-			return e, acc
+			return e, sem, acc
 		}
-		eC, aC := run(true)
-		eR, aR := run(false)
+		eC, sC, aC := run(true)
+		eR, sR, aR := run(false)
 		if aC.Summary() != aR.Summary() {
 			t.Errorf("%s: compacted %+v, retained %+v", tr.Meta.Name, aC.Summary(), aR.Summary())
 		}
@@ -429,14 +441,14 @@ func TestWCPCompactionMatchesRetained(t *testing.T) {
 			}
 		}
 		k := tr.Meta.Threads
-		for th := 0; th < k; th++ {
-			got := eC.Timestamp(vt.TID(th), vt.NewVector(k))
-			want := eR.Timestamp(vt.TID(th), vt.NewVector(k))
+		for th := 0; th < eC.Threads(); th++ {
+			got := timestamp(eC, sC, vt.TID(th), vt.NewVector(k))
+			want := timestamp(eR, sR, vt.TID(th), vt.NewVector(k))
 			if !got.Equal(want) {
 				t.Fatalf("%s: thread %d: compacted %v, retained %v", tr.Meta.Name, th, got, want)
 			}
 		}
-		msC, msR := eC.Sem().MemStats(), eR.Sem().MemStats()
+		msC, msR := sC.MemStats(), sR.MemStats()
 		if msR.DroppedEntries != 0 {
 			t.Errorf("%s: retained run compacted %d entries", tr.Meta.Name, msR.DroppedEntries)
 		}
@@ -450,11 +462,11 @@ func TestWCPCompactionMatchesRetained(t *testing.T) {
 // TestWCPMemStatsAccounting sanity-checks the MemReporter numbers on a
 // draining workload.
 func TestWCPMemStatsAccounting(t *testing.T) {
-	e := NewStreaming[*vc.VectorClock](vc.Factory(nil))
-	if err := e.ProcessSource(gen.Take(gen.HotLock(6, 7), 60000)); err != nil {
+	sem := NewSemantics[*vc.VectorClock]()
+	if err := engine.New(sem, vc.Factory(nil)).ProcessSource(gen.Take(gen.HotLock(6, 7), 60000)); err != nil {
 		t.Fatalf("soak stream: %v", err)
 	}
-	ms := e.Sem().MemStats()
+	ms := sem.MemStats()
 	if ms.DroppedEntries == 0 {
 		t.Fatalf("hot-lock run compacted nothing: %+v", ms)
 	}
@@ -469,7 +481,7 @@ func TestWCPMemStatsAccounting(t *testing.T) {
 	}
 	var live int
 	var dropped uint64
-	for _, st := range e.Sem().LockHistStats() {
+	for _, st := range sem.LockHistStats() {
 		live += st.Live
 		dropped += st.Dropped
 		if st.Peak < st.Live {

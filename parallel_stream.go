@@ -26,10 +26,9 @@ import (
 // sharding trades replicated clock scaffolding for parallel analysis).
 //
 // The worker count comes from WithWorkers, defaulting to GOMAXPROCS.
-// All other options mean what they mean on RunStream; StreamScalar is
-// incompatible (sharding is batched by construction), and WithPipeline
-// is rarely worth it here — the coordinator already decodes
-// concurrently with the workers.
+// All other options mean what they mean on RunStream; WithPipeline is
+// rarely worth it here — the coordinator already decodes concurrently
+// with the workers.
 func RunStreamParallel(engineName string, r io.Reader, opts ...StreamOption) (*StreamResult, error) {
 	cfg := parallelConfig(opts)
 	var src trace.EventSource

@@ -161,14 +161,6 @@ func TestParallelWorkStats(t *testing.T) {
 // validation path: discipline violations surface as errors from the
 // coordinator-side validator.
 func TestParallelOptionConflicts(t *testing.T) {
-	if _, err := treeclock.RunStream("hb-tree", strings.NewReader(""),
-		treeclock.WithWorkers(2), treeclock.StreamScalar()); err == nil {
-		t.Error("StreamScalar + WithWorkers accepted")
-	}
-	if _, err := treeclock.RunStreamParallel("hb-tree", strings.NewReader(""),
-		treeclock.StreamScalar()); err == nil {
-		t.Error("StreamScalar accepted by RunStreamParallel")
-	}
 	if _, err := treeclock.RunStreamParallel("hb-quantum", strings.NewReader("")); err == nil {
 		t.Error("unknown engine accepted")
 	}
@@ -260,8 +252,8 @@ func TestProgressCallbacks(t *testing.T) {
 		return err
 	})
 	check("scalar", func(fn func(treeclock.Progress)) error {
-		_, err := treeclock.RunStream("hb-tree", bytes.NewReader(text.Bytes()),
-			treeclock.StreamScalar(), treeclock.WithProgress(10000, fn))
+		_, err := treeclock.RunStreamSource("hb-tree", nextOnly{treeclock.NewTraceScanner(bytes.NewReader(text.Bytes()))},
+			treeclock.WithProgress(10000, fn))
 		return err
 	})
 }

@@ -4,8 +4,8 @@ import "testing"
 
 // TestAutoPipelineSelection pins the decode-mode default (ROADMAP:
 // WithPipeline becomes the default for text input when GOMAXPROCS > 1):
-// the auto depth engages exactly for unforced, unsharded, non-scalar
-// text input on a multi-core host, and an explicit WithPipeline choice
+// the auto depth engages exactly for unforced, unsharded text input on
+// a multi-core host, and an explicit WithPipeline choice
 // is never overridden (RunStream skips autoPipelineDepth entirely when
 // pipelineSet).
 func TestAutoPipelineSelection(t *testing.T) {
@@ -20,7 +20,6 @@ func TestAutoPipelineSelection(t *testing.T) {
 		{"text dualcore", func(c *streamConfig) {}, 2, defaultPipelineDepth},
 		{"text unicore", func(c *streamConfig) {}, 1, 0},
 		{"binary multicore", func(c *streamConfig) { c.format = FormatBinary }, 4, 0},
-		{"scalar forces off", func(c *streamConfig) { c.scalar = true }, 4, 0},
 		{"workers coordinate decode", func(c *streamConfig) { c.workers = 4 }, 4, 0},
 		{"forced parallel", func(c *streamConfig) { c.forceParallel = true }, 4, 0},
 	}
@@ -31,8 +30,8 @@ func TestAutoPipelineSelection(t *testing.T) {
 			t.Errorf("%s: autoPipelineDepth = %d, want %d", tc.name, got, tc.want)
 		}
 	}
-	// The option plumbing: StreamScalar and WithPipeline mark the
-	// config so RunStream can tell "explicit" from "default".
+	// The option plumbing: WithPipeline marks the config so RunStream
+	// can tell "explicit" from "default".
 	cfg := base
 	WithPipeline(6)(&cfg)
 	if !cfg.pipelineSet || cfg.pipeline != 6 {

@@ -116,12 +116,6 @@ func newSession(engineName string, cfg streamConfig) (*Session, error) {
 	if !ok {
 		return nil, fmt.Errorf("treeclock: unknown engine %q (have %v)", engineName, Engines())
 	}
-	if cfg.scalar && cfg.pipeline > 0 {
-		return nil, fmt.Errorf("treeclock: StreamScalar and WithPipeline are mutually exclusive")
-	}
-	if cfg.scalar && (cfg.workers > 1 || cfg.forceParallel) {
-		return nil, fmt.Errorf("treeclock: StreamScalar and WithWorkers are mutually exclusive")
-	}
 	if (cfg.ckptSink != nil || cfg.resume != nil) && cfg.pipeline > 0 {
 		return nil, fmt.Errorf("treeclock: WithCheckpoint/ResumeFrom and WithPipeline are mutually exclusive (the pipelined decoder is not checkpointable)")
 	}
@@ -239,9 +233,6 @@ func (s *Session) runSequential(src trace.EventSource) (*StreamResult, error) {
 	if cfg.progressFn != nil {
 		src = wrapProgress(src, cfg)
 	}
-	if cfg.pipeline <= 0 && cfg.scalar {
-		src = scalarSource{src}
-	}
 	e := s.engines[0]
 	if cfg.ckptSink != nil || cfg.resume != nil {
 		cs, err := asCheckpointable(src)
@@ -355,8 +346,6 @@ func (s *Session) bindPush() error {
 	switch {
 	case cfg.pipeline > 0:
 		return fmt.Errorf("treeclock: WithPipeline requires a pull-mode source (push sessions feed decoded events)")
-	case cfg.scalar:
-		return fmt.Errorf("treeclock: StreamScalar requires a pull-mode source (push sessions feed decoded events)")
 	case cfg.progressFn != nil:
 		return fmt.Errorf("treeclock: WithProgress requires a pull-mode source (count fed batches at the caller)")
 	case cfg.validate:

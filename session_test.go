@@ -273,14 +273,6 @@ func TestSessionOptionErrors(t *testing.T) {
 		_, err := Open("nope")
 		wantErr(t, err, `unknown engine "nope"`)
 	})
-	t.Run("scalar+pipeline", func(t *testing.T) {
-		_, err := Open("hb-tree", StreamScalar(), WithPipeline(2))
-		wantErr(t, err, "StreamScalar and WithPipeline are mutually exclusive")
-	})
-	t.Run("scalar+workers", func(t *testing.T) {
-		_, err := Open("hb-tree", StreamScalar(), WithWorkers(2))
-		wantErr(t, err, "StreamScalar and WithWorkers are mutually exclusive")
-	})
 	t.Run("checkpoint+pipeline", func(t *testing.T) {
 		_, err := Open("hb-tree", WithCheckpoint(0, &memSink{}), WithPipeline(2))
 		wantErr(t, err, "WithCheckpoint/ResumeFrom and WithPipeline are mutually exclusive")
@@ -306,7 +298,6 @@ func TestSessionOptionErrors(t *testing.T) {
 		frag string
 	}{
 		{"pipeline", WithPipeline(2), "WithPipeline requires a pull-mode source"},
-		{"scalar", StreamScalar(), "StreamScalar requires a pull-mode source"},
 		{"progress", WithProgress(10, func(Progress) {}), "WithProgress requires a pull-mode source"},
 		{"validate", StreamValidate(), "StreamValidate requires a pull-mode source"},
 		{"intern cap", WithInternCap(16), "WithInternCap requires text input"},

@@ -25,17 +25,6 @@ import (
 	"treeclock/internal/wcp"
 )
 
-// Semantics is the plugin interface a partial order implements against
-// the shared engine runtime: a Read and a Write hook plus whatever
-// per-variable state they need. HB, SHB and MAZ are each one small
-// Semantics implementation; everything else (thread/lock clocks, the
-// sync-event dispatch, identifier growth) is the runtime's.
-type Semantics[C vt.Clock[C]] = engine.Semantics[C]
-
-// EngineRuntime is the shared streaming runtime the named engines are
-// built from. Advanced users can bind their own Semantics to it.
-type EngineRuntime[C vt.Clock[C]] = engine.Runtime[C]
-
 // EngineInfo describes one registry entry.
 type EngineInfo struct {
 	// Name is the registry key, "<order>-<clock>": e.g. "hb-tree".
@@ -94,7 +83,6 @@ type streamConfig struct {
 	format        TraceFormat
 	analysis      bool
 	validate      bool
-	scalar        bool
 	pipeline      int  // pipelined-decode depth; <= 0 = synchronous
 	pipelineSet   bool // WithPipeline was given (auto-selection is off)
 	workers       int  // sharded-analysis worker count; <= 1 = sequential
@@ -134,14 +122,6 @@ func StreamWorkStats(st *WorkStats) StreamOption {
 	return func(c *streamConfig) { c.stats = st }
 }
 
-// StreamScalar forces the per-event streaming loop (one interface call
-// per event) instead of the default batched consumption. It exists for
-// comparison benchmarks — batching changes no analysis result, only
-// throughput — and is incompatible with WithPipeline.
-func StreamScalar() StreamOption {
-	return func(c *streamConfig) { c.scalar = true }
-}
-
 // WithPipeline runs trace decoding in its own goroutine, feeding the
 // engine batches through a ring of depth recycled buffers so parsing
 // overlaps analysis. Batches are consumed in trace order, so results
@@ -150,9 +130,9 @@ func StreamScalar() StreamOption {
 // option RunStream decides on its own: text input decodes pipelined
 // when more than one CPU is available (GOMAXPROCS > 1), since the
 // extra goroutine only pays off when decode and analysis cost are
-// comparable and a second core exists to overlap them; binary input,
-// StreamScalar and sharded (WithWorkers) runs stay synchronous — the
-// parallel coordinator already decodes concurrently with analysis.
+// comparable and a second core exists to overlap them; binary input
+// and sharded (WithWorkers) runs stay synchronous — the parallel
+// coordinator already decodes concurrently with analysis.
 func WithPipeline(depth int) StreamOption {
 	return func(c *streamConfig) { c.pipeline, c.pipelineSet = depth, true }
 }
@@ -164,8 +144,7 @@ func WithPipeline(depth int) StreamOption {
 // per-event cost on access-heavy workloads — runs only on the
 // variable's owner. The merged result is byte-identical to the
 // sequential run's. n <= 1 selects the sequential path; RunStreamParallel
-// defaults n to GOMAXPROCS. Incompatible with StreamScalar (sharding
-// is batched by construction).
+// defaults n to GOMAXPROCS.
 func WithWorkers(n int) StreamOption {
 	return func(c *streamConfig) { c.workers = n }
 }
@@ -287,13 +266,6 @@ type StreamResult struct {
 // MemStats is the retained-state accounting a memory-reporting engine
 // exposes (see StreamResult.Mem and the engine.MemReporter extension).
 type MemStats = engine.MemStats
-
-// scalarSource hides a source's batch methods behind a plain
-// EventSource, forcing the engine runtime onto its per-event loop.
-type scalarSource struct{ src trace.EventSource }
-
-func (s scalarSource) Next() (trace.Event, bool) { return s.src.Next() }
-func (s scalarSource) Err() error                { return s.src.Err() }
 
 // streamEngine is the non-generic view RunStream drives; a
 // runtimeAdapter instantiates it per clock type. ProcessBatchAt and
@@ -458,11 +430,10 @@ const defaultPipelineDepth = 4
 // WithPipeline was not given: text input decodes in its own goroutine
 // when a second CPU exists to overlap parsing with analysis, and
 // everything else stays synchronous — binary decode is too cheap to
-// win a goroutine hand-off, StreamScalar explicitly asks for the
-// per-event loop, and sharded runs already overlap decode (the
-// coordinator parses while the workers analyze).
+// win a goroutine hand-off, and sharded runs already overlap decode
+// (the coordinator parses while the workers analyze).
 func autoPipelineDepth(cfg *streamConfig, maxprocs int) int {
-	if cfg.scalar || cfg.workers > 1 || cfg.forceParallel || cfg.format != FormatText || maxprocs < 2 {
+	if cfg.workers > 1 || cfg.forceParallel || cfg.format != FormatText || maxprocs < 2 {
 		return 0
 	}
 	if cfg.ckptSink != nil || cfg.resume != nil {
@@ -476,8 +447,8 @@ func autoPipelineDepth(cfg *streamConfig, maxprocs int) int {
 // source — a trace scanner, an in-memory TraceReplayer, or one of the
 // endless workload generators (GenerateHotLockStream and friends,
 // capped with LimitEvents). Format options are ignored (the source is
-// already decoded); validation, scalar mode and pipelining apply as in
-// RunStream.
+// already decoded); validation and pipelining apply as in RunStream.
+// A source without batch support is drained one event at a time.
 func RunStreamSource(engineName string, src EventSource, opts ...StreamOption) (*StreamResult, error) {
 	cfg := streamConfig{format: FormatText, analysis: true}
 	for _, opt := range opts {

@@ -33,63 +33,17 @@ func generatorSuite() []*treeclock.Trace {
 	}
 }
 
-// materialized runs the classic pre-sized engine over a materialized
-// trace and returns the race summary, samples and final timestamps —
-// the reference the streaming path must reproduce exactly.
+// materialized replays the in-memory trace through the registry engine
+// (the path the paper harness times) and returns the race summary,
+// samples and final timestamps — the reference the reader-fed
+// streaming path must reproduce exactly.
 func materialized(t *testing.T, tr *treeclock.Trace, engineName string) (treeclock.RaceSummary, []treeclock.Race, []treeclock.Vector) {
 	t.Helper()
-	type processor interface {
-		Process([]treeclock.Event)
-		Timestamp(treeclock.ThreadID, treeclock.Vector) treeclock.Vector
+	res, err := treeclock.RunStreamSource(engineName, treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		t.Fatalf("replay %s: %v", engineName, err)
 	}
-	var (
-		e   processor
-		sum treeclock.RaceSummary
-		acc *treeclock.RaceAccumulator
-	)
-	switch engineName {
-	case "hb-tree":
-		en := treeclock.NewHBTree(tr.Meta)
-		acc = en.EnableRaceDetection().Acc
-		e = en
-	case "hb-vc":
-		en := treeclock.NewHBVector(tr.Meta)
-		acc = en.EnableRaceDetection().Acc
-		e = en
-	case "shb-tree":
-		en := treeclock.NewSHBTree(tr.Meta)
-		acc = en.EnableRaceDetection().Acc
-		e = en
-	case "shb-vc":
-		en := treeclock.NewSHBVector(tr.Meta)
-		acc = en.EnableRaceDetection().Acc
-		e = en
-	case "maz-tree":
-		en := treeclock.NewMAZTree(tr.Meta)
-		acc = en.EnableAnalysis()
-		e = en
-	case "maz-vc":
-		en := treeclock.NewMAZVector(tr.Meta)
-		acc = en.EnableAnalysis()
-		e = en
-	case "wcp-tree":
-		en := treeclock.NewWCPTree(tr.Meta)
-		acc = en.EnableAnalysis()
-		e = en
-	case "wcp-vc":
-		en := treeclock.NewWCPVector(tr.Meta)
-		acc = en.EnableAnalysis()
-		e = en
-	default:
-		t.Fatalf("unknown engine %q", engineName)
-	}
-	e.Process(tr.Events)
-	sum = acc.Summary()
-	ts := make([]treeclock.Vector, tr.Meta.Threads)
-	for th := 0; th < tr.Meta.Threads; th++ {
-		ts[th] = e.Timestamp(treeclock.ThreadID(th), make(treeclock.Vector, tr.Meta.Threads))
-	}
-	return sum, acc.Samples, ts
+	return res.Summary, res.Samples, res.Timestamps
 }
 
 // raceReport renders a summary and its samples deterministically; the
@@ -105,10 +59,12 @@ func raceReport(sum treeclock.RaceSummary, samples []treeclock.Race) string {
 }
 
 // TestStreamingMatchesMaterialized is the acceptance test of the
-// streaming refactor: for every generator and every registry engine,
-// feeding the serialized trace through RunStream as a plain io.Reader —
-// with no precomputed Meta — must yield byte-identical race reports and
-// identical final vector timestamps to the materialized path.
+// streaming decoders: for every generator and every registry engine,
+// feeding the serialized trace through RunStream as a plain io.Reader,
+// in text and in binary, must yield byte-identical race reports and
+// identical final vector timestamps to replaying the in-memory trace.
+// (Each engine's agreement with the definition of its order is
+// TestSuiteAgainstOracle's job.)
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	for _, tr := range generatorSuite() {
 		if err := tr.Validate(); err != nil {
@@ -170,12 +126,11 @@ func checkStream(t *testing.T, engineName string, ref *treeclock.Trace, data []b
 
 // TestLockClockBeforeThreadGrowth pins, across the whole registry,
 // that a lock clock allocated at an early (small) thread capacity
-// still yields correct results after the thread space grows: the
-// streaming run (which allocates lock 0's clock when only thread 0
-// exists) must match the pre-sized materialized run (which allocates
-// it at full capacity) event for event. The binary format keeps thread
-// ids verbatim, so the jump from thread 0 to thread 5 survives
-// serialization.
+// still yields correct results after the thread space grows: lock 0's
+// clock is allocated when only thread 0 exists, and the reports and
+// timestamps must still match the replayed reference. The binary
+// format keeps thread ids verbatim, so the jump from thread 0 to
+// thread 5 survives serialization.
 func TestLockClockBeforeThreadGrowth(t *testing.T) {
 	tr := &treeclock.Trace{
 		Meta: treeclock.Meta{Name: "lock-before-growth", Threads: 6, Locks: 1, Vars: 2},

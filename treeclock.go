@@ -6,13 +6,9 @@ import (
 	"treeclock/internal/analysis"
 	"treeclock/internal/core"
 	"treeclock/internal/gen"
-	"treeclock/internal/hb"
-	"treeclock/internal/maz"
-	"treeclock/internal/shb"
 	"treeclock/internal/trace"
 	"treeclock/internal/vc"
 	"treeclock/internal/vt"
-	"treeclock/internal/wcp"
 )
 
 // Core types, re-exported from the internal packages so downstream
@@ -139,88 +135,6 @@ func ReadTraceBinary(r io.Reader) (*Trace, error) { return trace.ReadBinary(r) }
 // ComputeTraceStats scans a trace and summarizes it.
 func ComputeTraceStats(tr *Trace) TraceStats { return trace.ComputeStats(tr) }
 
-// Engines. Each partial order comes in a tree-clock and a vector-clock
-// variant; the algorithm code is shared and generic, so the variants
-// differ only in the data structure (the paper's methodology).
-type (
-	// HBTreeEngine computes happens-before with tree clocks
-	// (Algorithm 3).
-	HBTreeEngine = hb.Engine[*core.TreeClock]
-	// HBVectorEngine computes happens-before with vector clocks
-	// (Algorithm 1).
-	HBVectorEngine = hb.Engine[*vc.VectorClock]
-	// SHBTreeEngine computes schedulable-happens-before with tree
-	// clocks (Algorithm 4).
-	SHBTreeEngine = shb.Engine[*core.TreeClock]
-	// SHBVectorEngine is the vector-clock SHB variant.
-	SHBVectorEngine = shb.Engine[*vc.VectorClock]
-	// MAZTreeEngine computes the Mazurkiewicz order with tree clocks
-	// (Algorithm 5).
-	MAZTreeEngine = maz.Engine[*core.TreeClock]
-	// MAZVectorEngine is the vector-clock MAZ variant.
-	MAZVectorEngine = maz.Engine[*vc.VectorClock]
-	// WCPTreeEngine computes the weakly-causally-precedes order
-	// (predictive race detection) with tree clocks backing the HB
-	// scaffolding.
-	WCPTreeEngine = wcp.Engine[*core.TreeClock]
-	// WCPVectorEngine is the vector-clock WCP variant.
-	WCPVectorEngine = wcp.Engine[*vc.VectorClock]
-)
-
-// NewHBTree returns a happens-before engine backed by tree clocks.
-func NewHBTree(meta Meta) *HBTreeEngine {
-	return hb.New(meta, core.Factory(nil))
-}
-
-// NewHBTreeCounting is NewHBTree with work counting.
-func NewHBTreeCounting(meta Meta, st *WorkStats) *HBTreeEngine {
-	return hb.New(meta, core.Factory(st))
-}
-
-// NewHBVector returns a happens-before engine backed by vector clocks.
-func NewHBVector(meta Meta) *HBVectorEngine {
-	return hb.New(meta, vc.Factory(nil))
-}
-
-// NewHBVectorCounting is NewHBVector with work counting.
-func NewHBVectorCounting(meta Meta, st *WorkStats) *HBVectorEngine {
-	return hb.New(meta, vc.Factory(st))
-}
-
-// NewSHBTree returns a schedulable-happens-before engine backed by
-// tree clocks.
-func NewSHBTree(meta Meta) *SHBTreeEngine {
-	return shb.New(meta, core.Factory(nil))
-}
-
-// NewSHBVector returns the vector-clock SHB engine.
-func NewSHBVector(meta Meta) *SHBVectorEngine {
-	return shb.New(meta, vc.Factory(nil))
-}
-
-// NewMAZTree returns a Mazurkiewicz-order engine backed by tree clocks.
-func NewMAZTree(meta Meta) *MAZTreeEngine {
-	return maz.New(meta, core.Factory(nil))
-}
-
-// NewMAZVector returns the vector-clock MAZ engine.
-func NewMAZVector(meta Meta) *MAZVectorEngine {
-	return maz.New(meta, vc.Factory(nil))
-}
-
-// NewWCPTree returns a weakly-causally-precedes engine backed by tree
-// clocks. Enable reporting with EnableAnalysis; detected pairs are
-// predictive races (conflicting accesses unordered by WCP ∪ thread
-// order), a superset of the HB races.
-func NewWCPTree(meta Meta) *WCPTreeEngine {
-	return wcp.New(meta, core.Factory(nil))
-}
-
-// NewWCPVector returns the vector-clock WCP engine.
-func NewWCPVector(meta Meta) *WCPVectorEngine {
-	return wcp.New(meta, vc.Factory(nil))
-}
-
 // Analysis types.
 type (
 	// Race is one detected concurrent conflicting pair.
@@ -229,8 +143,6 @@ type (
 	RaceKind = analysis.PairKind
 	// RaceSummary is the aggregate of an analysis run.
 	RaceSummary = analysis.Summary
-	// RaceAccumulator collects detected pairs during a run.
-	RaceAccumulator = analysis.Accumulator
 )
 
 // Race kinds.

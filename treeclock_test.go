@@ -21,19 +21,20 @@ t2 w x0
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	e := treeclock.NewHBTree(tr.Meta)
-	det := e.EnableRaceDetection()
-	e.Process(tr.Events)
-	sum := det.Acc.Summary()
-	if sum.Total == 0 {
+	res, err := treeclock.RunStreamSource("hb-tree", treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Total == 0 {
 		t.Fatal("t2's unsynchronized write must race")
 	}
 	// The same run with vector clocks agrees.
-	ev := treeclock.NewHBVector(tr.Meta)
-	detV := ev.EnableRaceDetection()
-	ev.Process(tr.Events)
-	if detV.Acc.Summary() != sum {
-		t.Errorf("clock implementations disagree: %+v vs %+v", sum, detV.Acc.Summary())
+	resV, err := treeclock.RunStreamSource("hb-vc", treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resV.Summary != res.Summary {
+		t.Errorf("clock implementations disagree: %+v vs %+v", res.Summary, resV.Summary)
 	}
 }
 
@@ -57,28 +58,25 @@ func TestDirectClockUse(t *testing.T) {
 	}
 }
 
+// TestAllEngineConstructors builds every registry engine over a
+// replayed materialized trace, with work counting on.
 func TestAllEngineConstructors(t *testing.T) {
 	tr := treeclock.GenerateMixed(treeclock.GenConfig{Threads: 4, Locks: 2, Vars: 16, Events: 2000, Seed: 5, SyncFrac: 0.3})
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("generated trace invalid: %v", err)
 	}
-	var st treeclock.WorkStats
-	engines := []interface{ Process([]treeclock.Event) }{
-		treeclock.NewHBTree(tr.Meta),
-		treeclock.NewHBVector(tr.Meta),
-		treeclock.NewHBTreeCounting(tr.Meta, &st),
-		treeclock.NewHBVectorCounting(tr.Meta, &st),
-		treeclock.NewSHBTree(tr.Meta),
-		treeclock.NewSHBVector(tr.Meta),
-		treeclock.NewMAZTree(tr.Meta),
-		treeclock.NewMAZVector(tr.Meta),
-	}
-	for i, e := range engines {
-		e.Process(tr.Events)
-		_ = i
-	}
-	if st.Changed == 0 {
-		t.Error("counting constructors recorded no work")
+	for _, name := range treeclock.Engines() {
+		var st treeclock.WorkStats
+		res, err := treeclock.RunStreamSource(name, treeclock.NewTraceReplayer(tr), treeclock.StreamWorkStats(&st))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Events != uint64(tr.Len()) {
+			t.Errorf("%s: processed %d events, want %d", name, res.Events, tr.Len())
+		}
+		if st.Changed == 0 {
+			t.Errorf("%s: work counting recorded no work", name)
+		}
 	}
 }
 
@@ -129,13 +127,11 @@ func TestGeneratorsFacade(t *testing.T) {
 	}
 }
 
-func ExampleNewSHBTree() {
+func ExampleRunStreamSource() {
 	tr, _ := treeclock.ParseTraceString("t0 w x0\nt1 r x0\nt1 w x0\n")
-	e := treeclock.NewSHBTree(tr.Meta)
-	det := e.EnableRaceDetection()
-	e.Process(tr.Events)
-	fmt.Println("races found:", det.Acc.Total)
-	for _, r := range det.Acc.Samples {
+	res, _ := treeclock.RunStreamSource("shb-tree", treeclock.NewTraceReplayer(tr))
+	fmt.Println("races found:", res.Summary.Total)
+	for _, r := range res.Samples {
 		fmt.Println(r)
 	}
 	// t1's write does not race t0's: the read's last-write edge
