@@ -373,6 +373,26 @@ func (d *Dec) End() {
 	}
 }
 
+// ExpectEOF requires the underlying reader to end here: a message is
+// exactly its sections, so bytes after the last one are corruption.
+func (d *Dec) ExpectEOF() {
+	if d.err != nil {
+		return
+	}
+	if d.open {
+		d.fail(fmt.Errorf("ckpt: ExpectEOF inside open section %q", d.name))
+		return
+	}
+	var b [1]byte
+	switch _, err := io.ReadFull(d.r, b[:]); err {
+	case io.EOF:
+	case nil:
+		d.corrupt("trailing bytes after the last section")
+	default:
+		d.corrupt("reading past the last section: %v", err)
+	}
+}
+
 // remaining returns the unread payload bytes of the open section.
 func (d *Dec) remaining() int { return len(d.buf) - d.pos }
 
@@ -430,7 +450,7 @@ func (d *Dec) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 || !minimal(d.buf[d.pos:], n) {
+	if n <= 0 || !Minimal(d.buf[d.pos:], n) {
 		d.corrupt("section %q: bad varint", d.name)
 		return 0
 	}
@@ -440,25 +460,21 @@ func (d *Dec) Uvarint() uint64 {
 
 // Svarint reads a zig-zag signed varint.
 func (d *Dec) Svarint() int64 {
-	if d.err != nil {
-		return 0
+	ux := d.Uvarint()
+	v := int64(ux >> 1)
+	if ux&1 != 0 {
+		v = ^v
 	}
-	if !d.open {
-		d.fail(errors.New("ckpt: read outside a section"))
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 || !minimal(d.buf[d.pos:], n) {
-		d.corrupt("section %q: bad varint", d.name)
-		return 0
-	}
-	d.pos += n
 	return v
 }
 
-// minimal reports whether the n-byte varint at the start of b is
-// minimally encoded: a longer spelling ends in a redundant zero byte.
-func minimal(b []byte, n int) bool { return n == 1 || b[n-1] != 0 }
+// Minimal reports whether the n-byte varint that binary.Uvarint or
+// binary.Varint decoded from the start of b is the shortest spelling of
+// its value, the one binary.AppendUvarint writes; a longer one ends in
+// a redundant zero byte. Dec and the daemon's event-frame decoder
+// reject the rest, so each value has exactly one accepted spelling.
+// It stays a one-line predicate so the per-event decoder inlines it.
+func Minimal(b []byte, n int) bool { return n <= 1 || b[n-1] != 0 }
 
 // Int reads a signed integer and range-checks it into int.
 func (d *Dec) Int() int {

@@ -158,6 +158,7 @@ func loadOpen(d *ckpt.Dec) (*openSpec, error) {
 		Resume:      d.Bool(),
 	}
 	d.End()
+	d.ExpectEOF()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -281,6 +282,7 @@ func loadResult(d *ckpt.Dec) (*treeclock.StreamResult, error) {
 		res.Mem = m
 	}
 	d.End()
+	d.ExpectEOF()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -305,17 +307,8 @@ func loadPos(d *ckpt.Dec) (pos uint64, reason string, err error) {
 	pos = d.U64()
 	reason = d.String()
 	d.End()
+	d.ExpectEOF()
 	return pos, reason, d.Err()
-}
-
-// wholePayload rejects bytes left over after a payload decoder: every
-// message has exactly one accepted spelling, the one its encoder
-// writes.
-func wholePayload(r *bytes.Reader) error {
-	if n := r.Len(); n != 0 {
-		return fmt.Errorf("daemon: %d trailing payload bytes: %w", n, ckpt.ErrCorrupt)
-	}
-	return nil
 }
 
 // encodeOpen marshals an open request into one frame payload.
@@ -329,15 +322,7 @@ func encodeOpen(spec *openSpec) ([]byte, error) {
 
 // decodeOpen unmarshals an open request frame payload.
 func decodeOpen(payload []byte) (*openSpec, error) {
-	r := bytes.NewReader(payload)
-	spec, err := loadOpen(ckpt.NewDec(r))
-	if err == nil {
-		err = wholePayload(r)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return spec, nil
+	return loadOpen(ckpt.NewDec(bytes.NewReader(payload)))
 }
 
 // encodeResult marshals a StreamResult into one frame payload.
@@ -351,15 +336,7 @@ func encodeResult(res *treeclock.StreamResult) ([]byte, error) {
 
 // decodeResult unmarshals a result frame payload.
 func decodeResult(payload []byte) (*treeclock.StreamResult, error) {
-	r := bytes.NewReader(payload)
-	res, err := loadResult(ckpt.NewDec(r))
-	if err == nil {
-		err = wholePayload(r)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return loadResult(ckpt.NewDec(bytes.NewReader(payload)))
 }
 
 // encodePos marshals a position notice into one frame payload.
@@ -373,15 +350,7 @@ func encodePos(pos uint64, reason string) ([]byte, error) {
 
 // decodePos unmarshals a position notice frame payload.
 func decodePos(payload []byte) (uint64, string, error) {
-	r := bytes.NewReader(payload)
-	pos, reason, err := loadPos(ckpt.NewDec(r))
-	if err == nil {
-		err = wholePayload(r)
-	}
-	if err != nil {
-		return 0, "", err
-	}
-	return pos, reason, nil
+	return loadPos(ckpt.NewDec(bytes.NewReader(payload)))
 }
 
 // encodeEvents appends an event batch in the bare hot-path encoding:
@@ -398,16 +367,11 @@ func encodeEvents(dst []byte, events []trace.Event) []byte {
 	return dst
 }
 
-// overlong reports whether the k-byte varint at the start of b has a
-// longer spelling than binary.AppendUvarint writes (a redundant zero
-// final byte); decoders reject those, so a payload has one spelling.
-func overlong(b []byte, k int) bool { return k > 1 && b[k-1] == 0 }
-
 // decodeEvents decodes an events frame payload into buf (grown as
 // needed), validating kinds and identifier ranges.
 func decodeEvents(payload []byte, buf []trace.Event) ([]trace.Event, error) {
 	n, k := binary.Uvarint(payload)
-	if k <= 0 || overlong(payload, k) {
+	if k <= 0 || !ckpt.Minimal(payload, k) {
 		return nil, fmt.Errorf("daemon: events frame: bad count")
 	}
 	payload = payload[k:]
@@ -431,12 +395,12 @@ func decodeEvents(payload []byte, buf []trace.Event) ([]trace.Event, error) {
 		}
 		payload = payload[1:]
 		t, k := binary.Uvarint(payload)
-		if k <= 0 || overlong(payload, k) || t > 1<<31-1 {
+		if k <= 0 || !ckpt.Minimal(payload, k) || t > 1<<31-1 {
 			return nil, fmt.Errorf("daemon: events frame: bad thread id at event %d", i)
 		}
 		payload = payload[k:]
 		obj, k := binary.Uvarint(payload)
-		if k <= 0 || overlong(payload, k) || obj > 1<<32-1 {
+		if k <= 0 || !ckpt.Minimal(payload, k) || obj > 1<<32-1 {
 			return nil, fmt.Errorf("daemon: events frame: bad operand at event %d", i)
 		}
 		payload = payload[k:]

@@ -145,7 +145,12 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 		afterTeardown()
 	}
 	if end.typ != 0 {
-		writeFrame(bw, end.typ, end.payload)
+		if err := writeFrame(bw, end.typ, end.payload); err != nil {
+			// The outcome stands: a detached or evicted session resumes
+			// from its spool, but a finished one's result is lost with
+			// the connection.
+			s.cfg.Logf("session %s: %s, but writing the terminal frame failed: %v", spec.ID, end.outcome, err)
+		}
 	}
 }
 

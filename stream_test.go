@@ -7,6 +7,15 @@ import (
 	"testing"
 
 	"treeclock"
+	"treeclock/internal/analysis"
+	"treeclock/internal/core"
+	"treeclock/internal/engine"
+	"treeclock/internal/hb"
+	"treeclock/internal/maz"
+	"treeclock/internal/shb"
+	"treeclock/internal/vc"
+	"treeclock/internal/vt"
+	"treeclock/internal/wcp"
 )
 
 // generatorSuite returns one trace per generator in internal/gen (via
@@ -33,17 +42,68 @@ func generatorSuite() []*treeclock.Trace {
 	}
 }
 
-// materialized replays the in-memory trace through the registry engine
-// (the path the paper harness times) and returns the race summary,
-// samples and final timestamps — the reference the reader-fed
-// streaming path must reproduce exactly.
+// materialized returns the race summary, samples and final timestamps
+// the registry engine engineName must reproduce exactly. It is built
+// outside the registry: the order's semantics are bound to engine.New
+// here, with every clock allocated at the trace's full thread count up
+// front, and the in-memory trace is processed in one call. Agreeing
+// with it checks the registry's wiring (name to order, race detector
+// or self-checking analysis, WCP's weak-clock timestamps) and that
+// clocks grown as identifiers appear compute what pre-sized ones do.
 func materialized(t *testing.T, tr *treeclock.Trace, engineName string) (treeclock.RaceSummary, []treeclock.Race, []treeclock.Vector) {
 	t.Helper()
-	res, err := treeclock.RunStreamSource(engineName, treeclock.NewTraceReplayer(tr))
-	if err != nil {
-		t.Fatalf("replay %s: %v", engineName, err)
+	order, clock, _ := strings.Cut(engineName, "-")
+	k := tr.Meta.Threads
+	switch clock {
+	case "tree":
+		return runPreSized(t, order, tr, presized(core.Factory(nil), k))
+	case "vc":
+		return runPreSized(t, order, tr, presized(vc.Factory(nil), k))
 	}
-	return res.Summary, res.Samples, res.Timestamps
+	t.Fatalf("unknown engine %q", engineName)
+	return treeclock.RaceSummary{}, nil, nil
+}
+
+// presized wraps f so every clock is allocated k threads wide up front,
+// the shape a runtime sized from trace metadata would have.
+func presized[C any](f vt.Factory[C], k int) vt.Factory[C] {
+	return func(int) C { return f(k) }
+}
+
+func runPreSized[C vt.Clock[C]](t *testing.T, order string, tr *treeclock.Trace, f vt.Factory[C]) (treeclock.RaceSummary, []treeclock.Race, []treeclock.Vector) {
+	t.Helper()
+	var (
+		rt  *engine.Runtime[C]
+		acc *analysis.Accumulator
+		ts  func(th vt.TID, dst vt.Vector) vt.Vector
+	)
+	switch order {
+	case "hb":
+		rt = engine.New[C](hb.NewSemantics[C](), f)
+		acc = rt.EnableRaceDetection().Acc
+	case "shb":
+		rt = engine.New[C](shb.NewSemantics[C](), f)
+		acc = rt.EnableRaceDetection().Acc
+	case "maz":
+		rt = engine.New[C](maz.NewSemantics[C](), f)
+		acc = rt.EnableAnalysis()
+	case "wcp":
+		sem := wcp.NewSemantics[C]()
+		rt = engine.New[C](sem, f)
+		acc = rt.EnableAnalysis()
+		ts = func(th vt.TID, dst vt.Vector) vt.Vector { return sem.Timestamp(th, rt.ThreadClock(th).Get(th), dst) }
+	default:
+		t.Fatalf("unknown order %q", order)
+	}
+	if ts == nil {
+		ts = rt.Timestamp
+	}
+	rt.Process(tr.Events)
+	out := make([]treeclock.Vector, rt.Threads())
+	for th := range out {
+		out[th] = ts(vt.TID(th), vt.NewVector(tr.Meta.Threads))
+	}
+	return acc.Summary(), acc.Samples, out
 }
 
 // raceReport renders a summary and its samples deterministically; the
@@ -59,12 +119,11 @@ func raceReport(sum treeclock.RaceSummary, samples []treeclock.Race) string {
 }
 
 // TestStreamingMatchesMaterialized is the acceptance test of the
-// streaming decoders: for every generator and every registry engine,
-// feeding the serialized trace through RunStream as a plain io.Reader,
-// in text and in binary, must yield byte-identical race reports and
-// identical final vector timestamps to replaying the in-memory trace.
-// (Each engine's agreement with the definition of its order is
-// TestSuiteAgainstOracle's job.)
+// registry's streaming path: for every generator and every registry
+// engine, feeding the serialized trace through RunStream as a plain
+// io.Reader, in text and in binary, must yield byte-identical race
+// reports and identical final vector timestamps to the pre-sized
+// engine built outside the registry (materialized).
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	for _, tr := range generatorSuite() {
 		if err := tr.Validate(); err != nil {
@@ -126,11 +185,12 @@ func checkStream(t *testing.T, engineName string, ref *treeclock.Trace, data []b
 
 // TestLockClockBeforeThreadGrowth pins, across the whole registry,
 // that a lock clock allocated at an early (small) thread capacity
-// still yields correct results after the thread space grows: lock 0's
-// clock is allocated when only thread 0 exists, and the reports and
-// timestamps must still match the replayed reference. The binary
-// format keeps thread ids verbatim, so the jump from thread 0 to
-// thread 5 survives serialization.
+// still yields correct results after the thread space grows: the
+// streaming run (which allocates lock 0's clock when only thread 0
+// exists) must match the pre-sized materialized run (which allocates
+// it at full capacity) event for event. The binary format keeps thread
+// ids verbatim, so the jump from thread 0 to thread 5 survives
+// serialization.
 func TestLockClockBeforeThreadGrowth(t *testing.T) {
 	tr := &treeclock.Trace{
 		Meta: treeclock.Meta{Name: "lock-before-growth", Threads: 6, Locks: 1, Vars: 2},
