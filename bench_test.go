@@ -216,10 +216,10 @@ func streamTrace() *trace.Trace {
 	})
 }
 
-func streamBytes(b *testing.B, format treeclock.TraceFormat) []byte {
+func streamBytes(b *testing.B, bin bool) []byte {
 	b.Helper()
 	key := "stream-1m-text"
-	if format == treeclock.FormatBinary {
+	if bin {
 		key = "stream-1m-bin"
 	}
 	if v, ok := traceCache.Load(key); ok {
@@ -227,7 +227,7 @@ func streamBytes(b *testing.B, format treeclock.TraceFormat) []byte {
 	}
 	var buf bytes.Buffer
 	var err error
-	if format == treeclock.FormatBinary {
+	if bin {
 		err = trace.WriteBinary(&buf, streamTrace())
 	} else {
 		err = trace.WriteText(&buf, streamTrace())
@@ -249,16 +249,15 @@ func streamBytes(b *testing.B, format treeclock.TraceFormat) []byte {
 func BenchmarkStreaming(b *testing.B) {
 	for _, name := range treeclock.Engines() {
 		for _, f := range []struct {
-			label  string
-			format treeclock.TraceFormat
-		}{{"text", treeclock.FormatText}, {"bin", treeclock.FormatBinary}} {
-			data := streamBytes(b, f.format)
+			label string
+			opts  []treeclock.StreamOption
+		}{{"text", nil}, {"bin", []treeclock.StreamOption{treeclock.StreamBinary()}}} {
+			data := streamBytes(b, f.opts != nil)
 			b.Run(name+"/"+f.label, func(b *testing.B) {
 				b.ReportAllocs()
 				n := streamTrace().Len()
 				for i := 0; i < b.N; i++ {
-					res, err := treeclock.RunStream(name, bytes.NewReader(data),
-						treeclock.StreamFormat(f.format))
+					res, err := treeclock.RunStream(name, bytes.NewReader(data), f.opts...)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -287,7 +286,7 @@ func BenchmarkIngest(b *testing.B) {
 		{"batch", false, nil},
 		{"pipeline", false, []treeclock.StreamOption{treeclock.WithPipeline(4)}},
 	}
-	data := streamBytes(b, treeclock.FormatText)
+	data := streamBytes(b, false)
 	n := streamTrace().Len()
 	for _, name := range []string{"hb-tree", "hb-vc"} {
 		for _, m := range modes {

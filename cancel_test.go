@@ -98,7 +98,7 @@ func TestCancelStream(t *testing.T) {
 	t.Run("parallel", func(t *testing.T) {
 		run(t, func(opts ...StreamOption) (*StreamResult, error) {
 			opts = append(opts, WithWorkers(2))
-			return RunStreamParallel("wcp-tree", bytes.NewReader(text), opts...)
+			return RunStream("wcp-tree", bytes.NewReader(text), opts...)
 		})
 	})
 }
@@ -117,7 +117,7 @@ func TestCancelBeforeStart(t *testing.T) {
 			if mode == "sequential" {
 				res, err = RunStream("hb-tree", bytes.NewReader(text), WithContext(ctx))
 			} else {
-				res, err = RunStreamParallel("hb-tree", bytes.NewReader(text),
+				res, err = RunStream("hb-tree", bytes.NewReader(text),
 					WithContext(ctx), WithWorkers(2))
 			}
 			if !errors.Is(err, context.Canceled) {

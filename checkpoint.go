@@ -4,7 +4,7 @@ package treeclock
 //
 // A checkpoint captures everything a resumed run needs to continue as
 // if the interruption never happened: the run configuration (engine,
-// transport, analysis/validation switches, shard count, event count),
+// analysis/validation switches, shard count, event count, caps),
 // the decode frontier of the trace source (byte offset, interner
 // tables), and the full engine state of every replica (clocks,
 // detector/accumulator, plugin state). The format is the versioned,
@@ -24,10 +24,16 @@ package treeclock
 // only complete checkpoint byte streams: the bytes are assembled in
 // memory first, so a crash while writing can at worst leave a torn
 // file, which FileCheckpointSink avoids with a temp-file rename.
+//
+// The config section keeps a flat weak-clock byte so that format v2
+// and its committed golden stay unchanged and existing checkpoints
+// keep resuming. It is always written false; a checkpoint with it set
+// fails restore with ErrFlatWeakCheckpoint.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -43,6 +49,11 @@ import (
 // with errors.Is(err, ErrCorruptCheckpoint).
 var ErrCorruptCheckpoint = ckpt.ErrCorrupt
 
+// ErrFlatWeakCheckpoint is returned when restoring a checkpoint written
+// with the retired flat weak-clock transport: its engine state has no
+// sparse-transport reading, so the run must start over.
+var ErrFlatWeakCheckpoint = errors.New("treeclock: checkpoint was written with the retired flat weak-clock transport; restart the run without it")
+
 // CheckpointSink receives completed checkpoints. Create is called once
 // per checkpoint with the event count it covers; the returned writer
 // receives the complete checkpoint bytes and is then closed. Close
@@ -54,8 +65,10 @@ type CheckpointSink interface {
 
 // FileCheckpointSink writes each checkpoint to Path, replacing the
 // previous one atomically: the bytes go to a temporary file in the
-// same directory, synced and renamed over Path on Close, so a crash
-// mid-write never leaves a torn checkpoint behind.
+// same directory, synced and renamed over Path on Close, and the
+// directory is synced after the rename, so a crash never leaves a torn
+// checkpoint behind or loses a committed one. A failed commit removes
+// the temporary file and keeps the previous checkpoint.
 type FileCheckpointSink struct {
 	// Path is the checkpoint file location.
 	Path string
@@ -71,7 +84,8 @@ func (s FileCheckpointSink) Create(events uint64) (io.WriteCloser, error) {
 	return &atomicFile{f: f, path: s.Path}, nil
 }
 
-// atomicFile commits a temp file to its final path on Close.
+// atomicFile commits a temp file to its final path on Close: sync,
+// rename, then sync the directory so the new name survives a crash.
 type atomicFile struct {
 	f    *os.File
 	path string
@@ -94,7 +108,24 @@ func (a *atomicFile) Close() error {
 		os.Remove(a.f.Name())
 		return err
 	}
-	return os.Rename(a.f.Name(), a.path)
+	if err := os.Rename(a.f.Name(), a.path); err != nil {
+		os.Remove(a.f.Name())
+		return err
+	}
+	return syncDir(filepath.Dir(a.path))
+}
+
+// syncDir flushes a directory's entries to stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WithCheckpoint makes the run write a checkpoint to sink roughly
@@ -120,8 +151,8 @@ func WithCheckpoint(every uint64, sink CheckpointSink) StreamOption {
 // ResumeFrom restores the run from a checkpoint read from r before any
 // trace input is consumed: the trace reader is fast-forwarded to the
 // checkpoint's byte offset and the engine continues from the restored
-// state. The run configuration — engine name, weak-clock transport,
-// analysis and validation switches, worker count — must match the
+// state. The run configuration — engine name, analysis and validation
+// switches, worker count, caps — must match the
 // checkpointed run's, and the trace reader must serve the same input;
 // mismatches fail with a descriptive error. A corrupt or truncated
 // checkpoint fails with an error wrapping ErrCorruptCheckpoint; the
@@ -155,7 +186,7 @@ func writeCheckpoint(w io.Writer, name string, cfg *streamConfig, shards int, ev
 	e.Header()
 	e.Begin("config")
 	e.String(name)
-	e.Bool(cfg.flatWeak)
+	e.Bool(false) // flat weak-clock slot, kept so format v2 is unchanged
 	e.Bool(cfg.analysis)
 	e.Bool(cfg.validate)
 	e.Int(shards)
@@ -222,10 +253,13 @@ func restoreCheckpoint(cfg *streamConfig, name string, shards int, src trace.Che
 	if err := d.Err(); err != nil {
 		return 0, err
 	}
-	if ckName != name || ckFlat != cfg.flatWeak || ckAnalysis != cfg.analysis || ckValidate != cfg.validate || ckShards != shards {
-		return 0, fmt.Errorf("treeclock: checkpoint was written by engine %q (flat-weak %v, analysis %v, validate %v, %d workers); this run is %q (flat-weak %v, analysis %v, validate %v, %d workers)",
-			ckName, ckFlat, ckAnalysis, ckValidate, ckShards,
-			name, cfg.flatWeak, cfg.analysis, cfg.validate, shards)
+	if ckFlat {
+		return 0, ErrFlatWeakCheckpoint
+	}
+	if ckName != name || ckAnalysis != cfg.analysis || ckValidate != cfg.validate || ckShards != shards {
+		return 0, fmt.Errorf("treeclock: checkpoint was written by engine %q (analysis %v, validate %v, %d workers); this run is %q (analysis %v, validate %v, %d workers)",
+			ckName, ckAnalysis, ckValidate, ckShards,
+			name, cfg.analysis, cfg.validate, shards)
 	}
 	if ckReclaim != cfg.slotReclaim || ckSumCap != cfg.summaryCap || ckInternCap != cfg.internCap {
 		return 0, fmt.Errorf("treeclock: checkpoint was written with slot-reclaim %v, summary cap %d, intern cap %d; this run has slot-reclaim %v, summary cap %d, intern cap %d",

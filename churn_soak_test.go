@@ -80,7 +80,7 @@ func TestSlotReclaimParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := treeclock.RunStreamParallelSource("hb-tree", newSrc(), treeclock.WithSlotReclaim(), treeclock.WithWorkers(2))
+	par, err := treeclock.RunStreamSource("hb-tree", newSrc(), treeclock.WithSlotReclaim(), treeclock.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,17 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"treeclock"
+	"treeclock/internal/core"
+	"treeclock/internal/engine"
 	"treeclock/internal/gen"
 	"treeclock/internal/trace"
+	"treeclock/internal/vc"
+	"treeclock/internal/vt"
+	"treeclock/internal/wcp"
 )
 
 // ingestTraceInfo describes the measured workload.
@@ -35,9 +41,10 @@ type ingestTraceInfo struct {
 
 // ingestResult is one engine × format × mode measurement. For the
 // wcp engines each cell is measured twice — once per weak-clock
-// transport — and Weak says which: "sparse" is the default segment
-// representation, "flat" the Θ(threads) vector baseline it is compared
-// against. The field is empty for engines without a weak transport.
+// transport — and Weak says which: "sparse" is the registry engine's
+// segment representation, "flat" the Θ(threads) vector baseline it is
+// compared against (built directly, see flatIngestRun). The field is
+// empty for engines without a weak transport.
 type ingestResult struct {
 	Trace          string  `json:"trace"`
 	Engine         string  `json:"engine"`
@@ -70,19 +77,24 @@ type nextOnly struct{ src treeclock.EventSource }
 func (s nextOnly) Next() (treeclock.Event, bool) { return s.src.Next() }
 func (s nextOnly) Err() error                    { return s.src.Err() }
 
-// ingestRun streams data through engine in one consumption mode. The
-// batch row pins WithPipeline(0): RunStream auto-pipelines text input
-// on multi-core hosts, and this experiment is exactly the place the
-// synchronous and pipelined paths are compared.
-func ingestRun(mode, engine string, bin bool, data []byte, opts []treeclock.StreamOption) (*treeclock.StreamResult, error) {
-	opts = append([]treeclock.StreamOption{}, opts...)
+// ingestRun streams data through the registry engine in one
+// consumption mode, or through the flat weak-clock baseline of a wcp
+// engine when weak is "flat". The batch row pins WithPipeline(0):
+// RunStream auto-pipelines text input on multi-core hosts, and this
+// experiment is exactly the place the synchronous and pipelined paths
+// are compared.
+func ingestRun(mode, engine, weak string, bin bool, data []byte) (*treeclock.StreamResult, error) {
+	if weak == "flat" {
+		return flatIngestRun(mode, engine, bin, data)
+	}
+	var opts []treeclock.StreamOption
 	switch mode {
 	case "scalar":
 		var src treeclock.EventSource = treeclock.NewTraceScanner(bytes.NewReader(data))
 		if bin {
 			src = treeclock.NewBinaryTraceScanner(bytes.NewReader(data))
 		}
-		return treeclock.RunStreamSource(engine, nextOnly{src}, opts...)
+		return treeclock.RunStreamSource(engine, nextOnly{src})
 	case "batch":
 		opts = append(opts, treeclock.WithPipeline(0))
 	case "pipeline":
@@ -94,14 +106,37 @@ func ingestRun(mode, engine string, bin bool, data []byte, opts []treeclock.Stre
 	return treeclock.RunStream(engine, bytes.NewReader(data), opts...)
 }
 
-// treeclockEngineOrder looks up a registry engine's partial order.
-func treeclockEngineOrder(name string) string {
-	for _, info := range treeclock.EngineInfos() {
-		if info.Name == name {
-			return info.Order
-		}
+// flatIngestRun is ingestRun for the flat weak-clock baseline: the
+// flat-vector WCP semantics bound to engine.New (the way runWCPDirect
+// builds its engine), fed by the same decoders in the same modes.
+func flatIngestRun(mode, engineName string, bin bool, data []byte) (*treeclock.StreamResult, error) {
+	var src trace.EventSource = trace.NewScanner(bytes.NewReader(data))
+	if bin {
+		src = trace.NewBinaryScanner(bytes.NewReader(data))
 	}
-	return ""
+	switch mode {
+	case "scalar":
+		src = nextOnly{src}
+	case "pipeline":
+		p := trace.NewPipeline(src, 4, trace.DefaultBatchSize)
+		defer p.Close()
+		src = p
+	}
+	if strings.HasSuffix(engineName, "-tree") {
+		return runFlatWCP(engineName, core.Factory(nil), src)
+	}
+	return runFlatWCP(engineName, vc.Factory(nil), src)
+}
+
+// runFlatWCP drains src through a flat-transport WCP engine with
+// analysis on.
+func runFlatWCP[C vt.Clock[C]](engineName string, f vt.Factory[C], src trace.EventSource) (*treeclock.StreamResult, error) {
+	rt := engine.New(wcp.NewSemanticsFlat[C](), f)
+	acc := rt.EnableAnalysis()
+	if err := rt.ProcessSource(src); err != nil {
+		return nil, err
+	}
+	return &treeclock.StreamResult{Engine: engineName, Events: rt.Events(), Summary: acc.Summary()}, nil
 }
 
 // ingestExperiment runs the sweep and optionally writes the JSON
@@ -154,36 +189,26 @@ func ingestExperiment(events, repeats int, jsonPath string) {
 			// two must report identical pairs (they are differentially
 			// pinned byte for byte), so the consistency check spans the
 			// variants too.
-			variants := []struct {
-				weak string
-				opts []treeclock.StreamOption
-			}{{"", nil}}
-			if treeclockEngineOrder(name) == "wcp" {
-				variants = []struct {
-					weak string
-					opts []treeclock.StreamOption
-				}{
-					{"sparse", nil},
-					{"flat", []treeclock.StreamOption{treeclock.WithFlatWeakClocks()}},
-				}
+			variants := []string{""}
+			if strings.HasPrefix(name, "wcp-") {
+				variants = []string{"sparse", "flat"}
 			}
 			for _, f := range formats {
 				var pairs uint64
 				first := true
-				for _, v := range variants {
+				for _, weak := range variants {
 					label := name
-					if v.weak != "" {
-						label += "/" + v.weak
+					if weak != "" {
+						label += "/" + weak
 					}
 					line := fmt.Sprintf("  %-17s %-5s", label, f.name)
 					for _, mode := range ingestModes {
-						res := measureIngest(tr.Meta.Name, name, f.name, mode, f.bin, f.data, v.opts, repeats)
-						res.Weak = v.weak
+						res := measureIngest(tr.Meta.Name, name, weak, f.name, mode, f.bin, f.data, repeats)
 						if first {
 							pairs, first = res.Pairs, false
 						} else if res.Pairs != pairs {
 							fmt.Fprintf(os.Stderr, "tcbench: %s/%s: %s/%s mode diverges (%d pairs, want %d)\n",
-								name, f.name, mode, v.weak, res.Pairs, pairs)
+								name, f.name, mode, weak, res.Pairs, pairs)
 							os.Exit(1)
 						}
 						report.Results = append(report.Results, res)
@@ -203,7 +228,7 @@ func ingestExperiment(events, repeats int, jsonPath string) {
 // measureIngest times one cell, reporting the best run and its
 // allocation count per event (via runtime.MemStats deltas; the GC's
 // own allocations make the figure an upper bound).
-func measureIngest(traceName, engine, format, mode string, bin bool, data []byte, opts []treeclock.StreamOption, repeats int) ingestResult {
+func measureIngest(traceName, engine, weak, format, mode string, bin bool, data []byte, repeats int) ingestResult {
 	var (
 		best   time.Duration = -1
 		allocs float64
@@ -213,7 +238,7 @@ func measureIngest(traceName, engine, format, mode string, bin bool, data []byte
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		r, err := ingestRun(mode, engine, bin, data, opts)
+		r, err := ingestRun(mode, engine, weak, bin, data)
 		el := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -230,13 +255,14 @@ func measureIngest(traceName, engine, format, mode string, bin bool, data []byte
 	if n == 0 {
 		// A degenerate workload (tiny -stream-events) must not poison
 		// the report with Inf/NaN, which JSON cannot encode.
-		return ingestResult{Trace: traceName, Engine: engine, Format: format, Mode: mode}
+		return ingestResult{Trace: traceName, Engine: engine, Format: format, Mode: mode, Weak: weak}
 	}
 	return ingestResult{
 		Trace:          traceName,
 		Engine:         engine,
 		Format:         format,
 		Mode:           mode,
+		Weak:           weak,
 		EventsPerSec:   n / best.Seconds(),
 		NsPerEvent:     float64(best.Nanoseconds()) / n,
 		AllocsPerEvent: allocs / n,

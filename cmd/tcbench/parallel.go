@@ -1,12 +1,13 @@
 package main
 
 // The parallel experiment measures the sharded analysis runtime
-// (RunStreamParallel) against the sequential pass: a workers × engine
-// × format sweep over an access-heavy workload whose per-event cost is
-// dominated by the race analysis — the share sharding actually
-// distributes. Formats: "mem" replays a materialized trace (no decode
-// at all, the engine-bound configuration the speedup criterion is
-// about), "text" and "bin" include the decoder on the coordinator.
+// (RunStream with WithWorkers) against the sequential pass: a
+// workers × engine × format sweep over an access-heavy workload whose
+// per-event cost is dominated by the race analysis — the share
+// sharding actually distributes. Formats: "mem" replays a
+// materialized trace (no decode at all, the engine-bound configuration
+// the speedup criterion is about), "text" and "bin" include the
+// decoder on the coordinator.
 // With -json the sweep lands in a machine-readable report
 // (BENCH_parallel.json) so the multicore CI lane tracks the
 // parallel-vs-sequential trajectory; each row carries its speedup over
@@ -91,27 +92,20 @@ func parallelExperiment(events, repeats int, workersList []int, jsonPath string)
 		name string
 		run  func(engine string, workers int) (*treeclock.StreamResult, error)
 	}{
+		// WithWorkers(0) is the sequential baseline.
 		{"mem", func(engine string, workers int) (*treeclock.StreamResult, error) {
-			if workers == 0 {
-				return treeclock.RunStreamSource(engine, trace.NewReplayer(tr))
-			}
-			return treeclock.RunStreamParallelSource(engine, trace.NewReplayer(tr), treeclock.WithWorkers(workers))
+			return treeclock.RunStreamSource(engine, trace.NewReplayer(tr), treeclock.WithWorkers(workers))
 		}},
 		{"text", func(engine string, workers int) (*treeclock.StreamResult, error) {
-			if workers == 0 {
-				// Pin the truly synchronous baseline: RunStream would
-				// auto-pipeline text on multi-core hosts, which is a
-				// different (two-goroutine) denominator than the bin
-				// and mem rows use.
-				return treeclock.RunStream(engine, bytes.NewReader(text.Bytes()), treeclock.WithPipeline(0))
-			}
-			return treeclock.RunStreamParallel(engine, bytes.NewReader(text.Bytes()), treeclock.WithWorkers(workers))
+			// Pin the truly synchronous baseline: RunStream would
+			// auto-pipeline sequential text on multi-core hosts, which
+			// is a different (two-goroutine) denominator than the bin
+			// and mem rows use. Sharded runs never auto-pipeline.
+			return treeclock.RunStream(engine, bytes.NewReader(text.Bytes()),
+				treeclock.WithPipeline(0), treeclock.WithWorkers(workers))
 		}},
 		{"bin", func(engine string, workers int) (*treeclock.StreamResult, error) {
-			if workers == 0 {
-				return treeclock.RunStream(engine, bytes.NewReader(bin.Bytes()), treeclock.StreamBinary())
-			}
-			return treeclock.RunStreamParallel(engine, bytes.NewReader(bin.Bytes()),
+			return treeclock.RunStream(engine, bytes.NewReader(bin.Bytes()),
 				treeclock.StreamBinary(), treeclock.WithWorkers(workers))
 		}},
 	}

@@ -9,8 +9,8 @@
 //	tcrace -engine shb-vc < t.txt         # SHB with the vector-clock baseline
 //	tcrace -engine maz-tree -format bin t.tr
 //	tcrace -engine wcp-tree t.txt         # predictive races (WCP weak order)
-//	tcrace -engine wcp-vc -flat-weak t.txt # flat weak-clock baseline transport
 //	tcrace -workers 4 big.txt             # shard the analysis across 4 cores
+//	tcrace -workers 0 big.txt             # shard across GOMAXPROCS cores
 //	tcrace -pipeline 4 big.txt            # decode in a separate goroutine
 //	tcrace -progress 5000000 huge.txt     # rate reports to stderr
 //	tcrace -algo shb -clock vc < t.txt    # legacy flag spelling
@@ -29,9 +29,10 @@
 // -workers N > 1 runs the sharded analysis runtime: variables
 // partition across N full engine replicas and the race checks run only
 // on each variable's owner, with results byte-identical to the
-// sequential pass. -workers 0 shards across GOMAXPROCS replicas
-// (which on a single-CPU host means the sharded path with one
-// replica); -workers 1 is the sequential pass.
+// sequential pass. -workers 1 is the sequential pass. -workers 0 means
+// GOMAXPROCS workers, resolved before anything else, so on a
+// single-CPU host it is the sequential pass too; local and -remote
+// runs resolve it the same way.
 //
 // -checkpoint PATH writes a crash-safe checkpoint of the full analysis
 // state to PATH every -checkpoint-every events (atomically: temp file
@@ -146,8 +147,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		list         = fs.Bool("list", false, "list registered engines and exit")
 		noValidate   = fs.Bool("no-validate", false, "skip incremental well-formedness checking (lock/fork/join discipline)")
 		pipeline     = fs.Int("pipeline", 0, "decode in a separate goroutine through a ring of N recycled batch buffers (0 = automatic, negative = off)")
-		workers      = fs.Int("workers", 1, "shard the analysis across N worker replicas (0 = GOMAXPROCS, 1 = sequential)")
-		flatWeak     = fs.Bool("flat-weak", false, "use the flat-vector weak-clock baseline for weak orders (wcp) instead of the sparse segment transport")
+		workers      = fs.Int("workers", 1, "shard the analysis across N worker replicas (1 = sequential; 0 = GOMAXPROCS, so sequential on one CPU)")
 		progress     = fs.Uint64("progress", 0, "print a progress line to stderr every N events (0 = off)")
 		checkpoint   = fs.String("checkpoint", "", "write a crash-safe checkpoint to this file every -checkpoint-every events")
 		ckptEvery    = fs.Uint64("checkpoint-every", 1_000_000, "events between checkpoints (with -checkpoint)")
@@ -220,6 +220,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tcrace: -workers must be >= 0 (got %d)\n", *workers)
 		return exitUsage
 	}
+	nworkers := *workers
+	if nworkers == 0 {
+		nworkers = runtime.GOMAXPROCS(0)
+	}
 
 	if *remote != "" {
 		switch {
@@ -250,8 +254,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			engine:     name,
 			binary:     *format == "bin",
 			validate:   !*noValidate,
-			workers:    *workers,
-			flatWeak:   *flatWeak,
+			workers:    nworkers,
 			reclaim:    *reclaimSlots,
 			summaryCap: *summaryCap,
 			internCap:  *internCap,
@@ -272,9 +275,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			depth = 0 // explicit synchronous decode
 		}
 		opts = append(opts, treeclock.WithPipeline(depth))
-	}
-	if *flatWeak {
-		opts = append(opts, treeclock.WithFlatWeakClocks())
 	}
 	if *reclaimSlots {
 		opts = append(opts, treeclock.WithSlotReclaim())
@@ -300,6 +300,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *checkpoint != "" {
 		opts = append(opts, treeclock.WithCheckpoint(*ckptEvery, treeclock.FileCheckpointSink{Path: *checkpoint}))
 	}
+	if nworkers > 1 {
+		opts = append(opts, treeclock.WithWorkers(nworkers))
+	}
 	if *resume != "" {
 		// Read the checkpoint fully up front rather than streaming from
 		// an open handle: with -checkpoint naming the same path (the
@@ -316,16 +319,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	var res *treeclock.StreamResult
-	var err error
-	if *workers == 1 {
-		res, err = treeclock.RunStream(name, in, opts...)
-	} else {
-		if *workers > 1 {
-			opts = append(opts, treeclock.WithWorkers(*workers))
-		}
-		res, err = treeclock.RunStreamParallel(name, in, opts...)
-	}
+	res, err := treeclock.RunStream(name, in, opts...)
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(stderr, "tcrace: %v\n", err)
@@ -339,7 +333,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *work {
 		workPtr = &st
 	}
-	return printReport(stdout, res, elapsed, *workers != 1, workPtr, *samples)
+	return printReport(stdout, res, elapsed, nworkers > 1, workPtr, *samples)
 }
 
 // printReport renders the analysis report. Local and remote runs share
@@ -383,8 +377,7 @@ type remoteRun struct {
 	engine     string
 	binary     bool
 	validate   bool
-	workers    int
-	flatWeak   bool
+	workers    int // resolved: -workers 0 is already GOMAXPROCS
 	reclaim    bool
 	summaryCap int
 	internCap  int
@@ -420,18 +413,9 @@ func (r *remoteRun) run(in io.Reader, stdout, stderr io.Writer) int {
 		})
 	}
 
-	// -workers 0 means GOMAXPROCS locally; resolve it client-side so
-	// the open frame carries an explicit count.
-	workers := r.workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	opts := []daemon.OpenOption{}
-	if workers > 1 {
-		opts = append(opts, daemon.OpenWorkers(workers))
-	}
-	if r.flatWeak {
-		opts = append(opts, daemon.OpenFlatWeak())
+	if r.workers > 1 {
+		opts = append(opts, daemon.OpenWorkers(r.workers))
 	}
 	if r.reclaim {
 		opts = append(opts, daemon.OpenSlotReclaim())
@@ -460,7 +444,7 @@ func (r *remoteRun) run(in io.Reader, stdout, stderr io.Writer) int {
 		return r.fail(err, stderr)
 	}
 	elapsed := time.Since(start)
-	return printReport(stdout, res, elapsed, r.workers != 1, nil, r.samples)
+	return printReport(stdout, res, elapsed, r.workers > 1, nil, r.samples)
 }
 
 // fail maps a remote-session error to its exit code: evictions are

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -322,6 +324,34 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	for _, want := range []string{"active_sessions", "sessions_finished", "events_total"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("-daemon-stats output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestWorkersZeroResolvedOnce pins that -workers 0 resolves to
+// GOMAXPROCS once, for local and remote runs alike, and that the report
+// says "sharded" exactly when the resolved count is above one: on one
+// CPU both paths run sequentially and must not claim otherwise.
+func TestWorkersZeroResolvedOnce(t *testing.T) {
+	srv := startTestDaemon(t, t.TempDir(), nil)
+	for _, procs := range []int{1, 2} {
+		for _, remote := range []bool{false, true} {
+			args := []string{"-workers", "0"}
+			name := fmt.Sprintf("procs%d/local", procs)
+			if remote {
+				name = fmt.Sprintf("procs%d/remote", procs)
+				args = append(args, "-remote", srv.Addr().String(), "-session", fmt.Sprintf("workers0-%d", procs))
+			}
+			t.Run(name, func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				code, out, errOut := runCmd(t, racyTrace, args...)
+				if code != exitRaces {
+					t.Fatalf("exit %d, want %d (stderr: %s)", code, exitRaces, errOut)
+				}
+				if got, want := strings.Contains(out, "sharded"), procs > 1; got != want {
+					t.Fatalf("GOMAXPROCS=%d: report says sharded = %v, want %v:\n%s", procs, got, want, out)
+				}
+			})
 		}
 	}
 }

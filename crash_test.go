@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -49,6 +51,47 @@ func (c *memCkpt) Close() error {
 	return nil
 }
 
+// TestFileCheckpointSinkFailedCommit pins FileCheckpointSink's commit:
+// a rename that fails (Path is a non-empty directory) returns the error
+// and removes the temporary file, and a good commit leaves exactly the
+// checkpoint behind.
+func TestFileCheckpointSinkFailedCommit(t *testing.T) {
+	dir := t.TempDir()
+	commit := func(path string) error {
+		w, err := FileCheckpointSink{Path: path}.Create(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write([]byte("checkpoint")); err != nil {
+			t.Fatal(err)
+		}
+		return w.Close()
+	}
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(blocked); err == nil {
+		t.Fatal("commit over a non-empty directory succeeded")
+	}
+	good := filepath.Join(dir, "good")
+	if err := commit(good); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(good); err != nil || string(data) != "checkpoint" {
+		t.Fatalf("committed checkpoint = %q, %v", data, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "blocked" && e.Name() != "good" {
+			t.Errorf("commit left %q behind", e.Name())
+		}
+	}
+}
+
 // crashTrace is one corpus entry, serialized once per format.
 type crashTrace struct {
 	name string
@@ -77,27 +120,6 @@ func crashCorpus(t testing.TB) []crashTrace {
 	return out
 }
 
-// engVariant is one engine configuration of the matrix.
-type engVariant struct {
-	label  string
-	engine string
-	opts   []StreamOption
-}
-
-// engineVariants lists every registry engine plus the flat weak-clock
-// transport variants of the predictive engines.
-func engineVariants() []engVariant {
-	var vs []engVariant
-	for _, name := range Engines() {
-		vs = append(vs, engVariant{label: name, engine: name})
-	}
-	vs = append(vs,
-		engVariant{label: "wcp-tree-flat", engine: "wcp-tree", opts: []StreamOption{WithFlatWeakClocks()}},
-		engVariant{label: "wcp-vc-flat", engine: "wcp-vc", opts: []StreamOption{WithFlatWeakClocks()}},
-	)
-	return vs
-}
-
 // runMode is sequential vs sharded execution of the same analysis.
 type runMode struct {
 	name string
@@ -107,8 +129,46 @@ type runMode struct {
 var crashModes = []runMode{
 	{"seq", RunStreamSource},
 	{"par2", func(engine string, src EventSource, opts ...StreamOption) (*StreamResult, error) {
-		return RunStreamParallelSource(engine, src, append(opts, WithWorkers(2))...)
+		return RunStreamSource(engine, src, append(opts, WithWorkers(2))...)
 	}},
+}
+
+// flatCrashModes are crashModes on the flat weak-clock transport (see
+// openFlat).
+var flatCrashModes = []runMode{
+	{"seq", runFlatSource},
+	{"par2", func(engine string, src EventSource, opts ...StreamOption) (*StreamResult, error) {
+		return runFlatSource(engine, src, append(opts, WithWorkers(2))...)
+	}},
+}
+
+// engVariant is one engine configuration of the matrices: a registry
+// engine, or (flat) a "wcp-*" engine on the flat weak-clock transport.
+type engVariant struct {
+	label  string
+	engine string
+	flat   bool
+}
+
+// engineVariants lists every registry engine plus the flat weak-clock
+// transport variants of the predictive engines.
+func engineVariants() []engVariant {
+	var vs []engVariant
+	for _, name := range Engines() {
+		vs = append(vs, engVariant{label: name, engine: name})
+	}
+	return append(vs,
+		engVariant{label: "wcp-tree-flat", engine: "wcp-tree", flat: true},
+		engVariant{label: "wcp-vc-flat", engine: "wcp-vc", flat: true},
+	)
+}
+
+// modes returns the variant's sequential and sharded runs.
+func (v engVariant) modes() []runMode {
+	if v.flat {
+		return flatCrashModes
+	}
+	return crashModes
 }
 
 // killPoints enumerates the batch boundaries of an n-event trace, plus
@@ -162,11 +222,11 @@ func crashAndResume(t *testing.T, mode runMode, engine string, base []StreamOpti
 func TestCrashResume(t *testing.T) {
 	corpus := crashCorpus(t)
 	for _, ev := range engineVariants() {
-		for _, mode := range crashModes {
+		for _, mode := range ev.modes() {
 			for _, ct := range corpus {
 				ev, mode, ct := ev, mode, ct
 				t.Run(fmt.Sprintf("%s/%s/%s", ev.label, mode.name, ct.name), func(t *testing.T) {
-					base := append([]StreamOption{StreamValidate()}, ev.opts...)
+					base := []StreamOption{StreamValidate()}
 					newSrc := func() EventSource { return trace.NewScanner(bytes.NewReader(ct.text)) }
 					ref, err := mode.run(ev.engine, newSrc(), base...)
 					if err != nil {
@@ -471,7 +531,7 @@ func TestResumeConfigMismatch(t *testing.T) {
 			return err
 		}},
 		{"workers", func() error {
-			_, err := RunStreamParallelSource("hb-tree", trace.NewScanner(bytes.NewReader(text)), StreamValidate(), WithWorkers(2), ResumeFrom(bytes.NewReader(data)))
+			_, err := RunStreamSource("hb-tree", trace.NewScanner(bytes.NewReader(text)), StreamValidate(), WithWorkers(2), ResumeFrom(bytes.NewReader(data)))
 			return err
 		}},
 	} {

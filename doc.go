@@ -43,9 +43,11 @@
 //
 // # Sharded parallel analysis
 //
-// RunStreamParallel distributes the analysis across worker replicas
-// (internal/parallel). The decomposition follows from what is and is
-// not independent in a partial-order analysis:
+// WithWorkers(n) distributes the analysis across n worker replicas
+// (internal/parallel); any n >= 1 selects this sharded runtime, one
+// worker included, and no option means the sequential one. The
+// decomposition follows from what is and is not independent in a
+// partial-order analysis:
 //
 //   - Per-variable analysis state is independent across variables — an
 //     epoch check for x never reads the state of y — so variables
@@ -66,7 +68,7 @@
 //     deterministic clock evolution of the sequential engine, with no
 //     locks and no cross-worker traffic on the hot path.
 //
-// Reports stay deterministic — byte-identical to sequential RunStream,
+// Reports stay deterministic — byte-identical to the sequential run,
 // pinned across the whole registry and generator suite by
 // TestParallelMatchesSequential — because each pair is detected by
 // exactly one worker (its variable's owner) using timestamps equal to
@@ -107,11 +109,11 @@
 // does the same from any EventSource — including the endless workload
 // generators (GenerateHotLockStream, GenerateRotatingLocksStream,
 // GenerateChurningVarsStream, capped with LimitEvents), so soak
-// scenarios of unbounded length need no trace bytes at all;
-// RunStreamParallel and RunStreamParallelSource shard the analysis
-// across worker replicas with byte-identical results (see "Sharded
-// parallel analysis" below). Engines
-// are chosen by registry name — "hb-tree", "hb-vc", "shb-tree",
+// scenarios of unbounded length need no trace bytes at all. Both take
+// StreamOption values; WithWorkers shards the analysis across worker
+// replicas with byte-identical results (see "Sharded parallel
+// analysis" above), and StreamBinary selects the binary input format.
+// Engines are chosen by registry name — "hb-tree", "hb-vc", "shb-tree",
 // "shb-vc", "maz-tree", "maz-vc", "wcp-tree", "wcp-vc" (see Engines
 // and EngineInfos) — and the result carries the race summary, sample
 // pairs, discovered metadata and final timestamps. A materialized
@@ -211,8 +213,10 @@
 // the releaser's previous release. internal/vt/weak.go defines the
 // two-sided contract (WeakClock, SnapStore), internal/vt/sparse.go
 // the copy-on-write segment-list implementation that the WCP engines
-// use by default (WithFlatWeakClocks selects the Θ(threads) flat
-// baseline, and the differential suites pin the two byte-identical).
+// use. The Θ(threads) flat-vector transport (vt.FlatWeak,
+// wcp.NewSemanticsFlat) is not a registry engine: it stays as the
+// test oracle the sparse one is pinned byte-identical to, and as the
+// baseline of tcbench's ingest sweep ("weak": "flat" rows).
 //
 // # Batched ingestion
 //
@@ -237,8 +241,7 @@
 // -json, emits a machine-readable BENCH_ingest.json report. For
 // heavy-traffic ingestion, WithProgress(every, fn) reports the running
 // event count and events/second rate from the consuming goroutine at
-// batch granularity, on both RunStream and RunStreamParallel (tcrace
-// -progress).
+// batch granularity, sequential or sharded (tcrace -progress).
 //
 // # Checkpointing and crash equivalence
 //
@@ -263,12 +266,12 @@
 // boundaries throughout the trace, resumes from the last checkpoint,
 // and requires byte-identical reports, timestamps and retained-state
 // accounting versus the uninterrupted run — across all eight registry
-// engines, both weak-clock transports, the sequential and sharded
-// parallel drivers, and under the race detector. In the parallel
+// engines plus the flat weak-clock oracle, the sequential and sharded
+// runtimes, and under the race detector. In the parallel
 // runtime a checkpoint is a barrier: the coordinator pauses every
 // worker at the same trace position, serializes all replicas, and
-// releases them, so a parallel checkpoint resumes into sequential or
-// parallel runs interchangeably.
+// releases them; a checkpoint resumes into a run with the same worker
+// count.
 //
 // Runs are also cancellable: WithContext(ctx) stops either driver at
 // the next batch boundary when ctx is done, returning the partial
@@ -284,8 +287,8 @@
 // Open(engine, opts...) constructs and validates the configuration in
 // one place, Feed(batch) pushes events incrementally, Snapshot(w)
 // checkpoints mid-stream, Mem() reports retained-state accounting,
-// and Result()/Close() seal the run. Everything the four RunStream*
-// entry points do — sequential or sharded, pull or push — flows
+// and Result()/Close() seal the run. Everything RunStream and
+// RunStreamSource do — sequential or sharded, pull or push — flows
 // through this one core, so incremental feeding, mid-stream
 // checkpointing, budget inspection and eviction/resume are library
 // capabilities, not daemon-private forks.

@@ -8,29 +8,38 @@ import (
 	"treeclock/internal/vt"
 )
 
-// model_test mirrors every tree clock against a plain vt.Vector while a
-// randomized driver exercises the clocks exactly the way the paper's
-// algorithms do (HB protocol for Join/MonotoneCopy, SHB protocol for
-// CopyCheckMonotone). After every operation the tree must represent the
-// same vector time as the mirror and pass structural validation.
+// model_test mirrors every tree clock against a plain vt.Vector while
+// the clocks are exercised exactly the way the paper's algorithms do
+// (HB protocol for Join/MonotoneCopy, SHB protocol for
+// CopyCheckMonotone, the engine's slot-reuse protocol for
+// ReleaseSlot). After every operation the tree must represent the same
+// vector time as the mirror and pass structural validation. The
+// choices come from math/rand in the randomized tests and from the
+// fuzz input in FuzzTreeClockProtocol.
+
+// chooser supplies the model's choices: *rand.Rand, or fuzzChoices.
+type chooser interface{ Intn(n int) int }
 
 // hbModel drives k thread clocks and l lock clocks under the HB
 // protocol: only free locks are acquired, only held locks are released,
-// so every MonotoneCopy precondition is honoured (Lemma 2).
+// so every MonotoneCopy precondition is honoured (Lemma 2). addVars
+// adds SHB last-write clocks.
 type hbModel struct {
 	t       *testing.T
-	r       *rand.Rand
+	r       chooser
 	k, l    int
 	threads []*TreeClock
 	locks   []*TreeClock
-	mThr    []vt.Vector // mirrors of thread clocks
-	mLck    []vt.Vector // mirrors of lock clocks
-	holder  []int       // lock -> thread holding it, -1 if free
-	held    [][]int     // thread -> locks currently held
+	lw      []*TreeClock // per-variable last-write clocks (SHB)
+	mThr    []vt.Vector  // mirrors of thread clocks
+	mLck    []vt.Vector  // mirrors of lock clocks
+	mLW     []vt.Vector  // mirrors of last-write clocks
+	holder  []int        // lock -> thread holding it, -1 if free
+	held    [][]int      // thread -> locks currently held
 	stats   *vt.WorkStats
 }
 
-func newHBModel(t *testing.T, r *rand.Rand, k, l int, stats *vt.WorkStats) *hbModel {
+func newHBModel(t *testing.T, r chooser, k, l int, stats *vt.WorkStats) *hbModel {
 	m := &hbModel{t: t, r: r, k: k, l: l, stats: stats}
 	m.threads = make([]*TreeClock, k)
 	m.mThr = make([]vt.Vector, k)
@@ -49,6 +58,14 @@ func newHBModel(t *testing.T, r *rand.Rand, k, l int, stats *vt.WorkStats) *hbMo
 	}
 	m.held = make([][]int, k)
 	return m
+}
+
+// addVars adds nv last-write clocks for the SHB protocol.
+func (m *hbModel) addVars(nv int) {
+	for i := 0; i < nv; i++ {
+		m.lw = append(m.lw, New(m.k, m.stats))
+		m.mLW = append(m.mLW, vt.NewVector(m.k))
+	}
 }
 
 func (m *hbModel) check(label string, c *TreeClock, mirror vt.Vector) {
@@ -141,6 +158,34 @@ func TestModelHBProtocolAblations(t *testing.T) {
 	}
 }
 
+// shbStep performs one random access under the SHB protocol and
+// cross-checks the touched clock; it reports whether a write took the
+// deep-copy fallback.
+func (m *hbModel) shbStep(i int) (deep bool) {
+	t := m.r.Intn(m.k)
+	x := m.r.Intn(len(m.lw))
+	// Every event increments its thread's local time first
+	// (footnote 1); attachment times are meaningless otherwise.
+	m.threads[t].Inc(vt.TID(t), 1)
+	m.mThr[t][t]++
+	switch m.r.Intn(2) {
+	case 0: // read: C_t ← C_t ⊔ LW_x
+		m.threads[t].Join(m.lw[x])
+		m.mThr[t].Join(m.mLW[x])
+		m.check(fmt.Sprintf("step %d: read thread %d", i, t), m.threads[t], m.mThr[t])
+	case 1: // write: LW_x ← C_t (monotone or not)
+		was := m.lw[x].CopyCheckMonotone(m.threads[t])
+		wantMonotone := m.mLW[x].LessEq(m.mThr[t])
+		if was != wantMonotone {
+			m.t.Fatalf("step %d: CopyCheckMonotone = %v, mirror says %v", i, was, wantMonotone)
+		}
+		deep = !was
+		m.mLW[x].CopyFrom(m.mThr[t])
+		m.check(fmt.Sprintf("step %d: LW %d", i, x), m.lw[x], m.mLW[x])
+	}
+	return deep
+}
+
 // TestModelSHBProtocol adds per-variable last-write clocks driven by
 // CopyCheckMonotone, exercising both the sublinear monotone path and
 // the deep-copy fallback (which occurs exactly on write-write races).
@@ -149,37 +194,12 @@ func TestModelSHBProtocol(t *testing.T) {
 	var st vt.WorkStats
 	r := rand.New(rand.NewSource(7))
 	m := newHBModel(t, r, k, l, &st)
-	lw := make([]*TreeClock, nv)
-	mLW := make([]vt.Vector, nv)
-	for i := range lw {
-		lw[i] = New(k, &st)
-		mLW[i] = vt.NewVector(k)
-	}
+	m.addVars(nv)
 	deep := 0
 	for i := 0; i < steps; i++ {
 		m.step(i)
-		t2 := r.Intn(k)
-		x := r.Intn(nv)
-		// Every event increments its thread's local time first
-		// (footnote 1); attachment times are meaningless otherwise.
-		m.threads[t2].Inc(vt.TID(t2), 1)
-		m.mThr[t2][t2]++
-		switch r.Intn(2) {
-		case 0: // read: C_t ← C_t ⊔ LW_x
-			m.threads[t2].Join(lw[x])
-			m.mThr[t2].Join(mLW[x])
-			m.check(fmt.Sprintf("step %d: read thread %d", i, t2), m.threads[t2], m.mThr[t2])
-		case 1: // write: LW_x ← C_t (monotone or not)
-			was := lw[x].CopyCheckMonotone(m.threads[t2])
-			wantMonotone := mLW[x].LessEq(m.mThr[t2])
-			if was != wantMonotone {
-				t.Fatalf("step %d: CopyCheckMonotone = %v, mirror says %v", i, was, wantMonotone)
-			}
-			if !was {
-				deep++
-			}
-			mLW[x].CopyFrom(m.mThr[t2])
-			m.check(fmt.Sprintf("step %d: LW %d", i, x), lw[x], mLW[x])
+		if m.shbStep(i) {
+			deep++
 		}
 	}
 	if deep == 0 {

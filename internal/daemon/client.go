@@ -163,9 +163,6 @@ type OpenOption func(*openSpec)
 // OpenWorkers selects the sharded runtime with n workers.
 func OpenWorkers(n int) OpenOption { return func(s *openSpec) { s.Workers = n } }
 
-// OpenFlatWeak selects the flat weak-clock transport (wcp engines).
-func OpenFlatWeak() OpenOption { return func(s *openSpec) { s.FlatWeak = true } }
-
 // OpenNoAnalysis disables race reporting.
 func OpenNoAnalysis() OpenOption { return func(s *openSpec) { s.NoAnalysis = true } }
 

@@ -84,15 +84,11 @@ func daemonTrace() *treeclock.Trace {
 // libraryRun produces the ground-truth StreamResult for a corpus.
 func libraryRun(t *testing.T, engine string, workers int, tr *treeclock.Trace) *treeclock.StreamResult {
 	t.Helper()
-	var (
-		res *treeclock.StreamResult
-		err error
-	)
-	if workers > 1 {
-		res, err = treeclock.RunStreamParallelSource(engine, treeclock.NewTraceReplayer(tr), treeclock.WithWorkers(workers))
-	} else {
-		res, err = treeclock.RunStreamSource(engine, treeclock.NewTraceReplayer(tr))
+	var opts []treeclock.StreamOption
+	if workers > 1 { // the daemon shards only above one worker
+		opts = append(opts, treeclock.WithWorkers(workers))
 	}
+	res, err := treeclock.RunStreamSource(engine, treeclock.NewTraceReplayer(tr), opts...)
 	if err != nil {
 		t.Fatalf("library run %s/%d: %v", engine, workers, err)
 	}
@@ -135,7 +131,7 @@ func feedRange(t *testing.T, c *Client, events []trace.Event, from, to uint64, c
 func TestProtoRoundTrip(t *testing.T) {
 	spec := &openSpec{
 		ID: "s-1.a_b", Engine: "wcp-tree", Workers: 3,
-		FlatWeak: true, NoAnalysis: false, SlotReclaim: true, SummaryCap: 7, Resume: true,
+		NoAnalysis: false, SlotReclaim: true, SummaryCap: 7, Resume: true,
 	}
 	payload, err := encodeOpen(spec)
 	if err != nil {

@@ -18,7 +18,7 @@ func FuzzDaemonFrames(f *testing.F) {
 	tr := daemonTrace()
 	open, err := encodeOpen(&openSpec{
 		ID: "s-1.a_b", Engine: "wcp-tree", Workers: 3,
-		FlatWeak: true, SlotReclaim: true, SummaryCap: 7, Resume: true,
+		SlotReclaim: true, SummaryCap: 7, Resume: true,
 	})
 	if err != nil {
 		f.Fatal(err)

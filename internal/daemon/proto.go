@@ -35,7 +35,9 @@ import (
 )
 
 // connMagic is the connection preamble: protocol magic plus version.
-const connMagic = "TCRD\x01"
+// The version changes with any payload layout, so a mismatched peer
+// fails at the preamble rather than inside a payload decoder.
+const connMagic = "TCRD\x02"
 
 // maxFrame bounds one frame's payload (type byte included). Event
 // frames carry at most a few thousand events, results a bounded
@@ -114,8 +116,6 @@ type openSpec struct {
 	Engine string
 	// Workers selects the sharded runtime when > 1.
 	Workers int
-	// FlatWeak selects the flat weak-clock transport (wcp engines).
-	FlatWeak bool
 	// NoAnalysis disables race reporting (timing/metadata only).
 	NoAnalysis bool
 	// SlotReclaim enables thread-slot reclamation.
@@ -134,7 +134,6 @@ func saveOpen(e *ckpt.Enc, spec *openSpec) error {
 	e.String(spec.ID)
 	e.String(spec.Engine)
 	e.Int(spec.Workers)
-	e.Bool(spec.FlatWeak)
 	e.Bool(spec.NoAnalysis)
 	e.Bool(spec.SlotReclaim)
 	e.Int(spec.SummaryCap)
@@ -151,7 +150,6 @@ func loadOpen(d *ckpt.Dec) (*openSpec, error) {
 		ID:          d.String(),
 		Engine:      d.String(),
 		Workers:     d.Int(),
-		FlatWeak:    d.Bool(),
 		NoAnalysis:  d.Bool(),
 		SlotReclaim: d.Bool(),
 		SummaryCap:  d.Int(),

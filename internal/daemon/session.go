@@ -85,9 +85,6 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	if spec.Workers > 1 {
 		opts = append(opts, treeclock.WithWorkers(spec.Workers))
 	}
-	if spec.FlatWeak {
-		opts = append(opts, treeclock.WithFlatWeakClocks())
-	}
 	if spec.NoAnalysis {
 		opts = append(opts, treeclock.StreamNoAnalysis())
 	}

@@ -31,14 +31,14 @@ func fuzzSeedBinary(tb testing.TB) []byte {
 	return b.Bytes()
 }
 
-// drainBinary scans everything r yields and returns the events plus
-// the scanner's final error.
-func drainBinary(s *BinaryScanner) ([]Event, error) {
+// drainSource collects every event src yields via Next, plus its
+// final error.
+func drainSource(src EventSource) ([]Event, error) {
 	var evs []Event
 	for {
-		ev, ok := s.Next()
+		ev, ok := src.Next()
 		if !ok {
-			return evs, s.Err()
+			return evs, src.Err()
 		}
 		evs = append(evs, ev)
 	}
@@ -76,8 +76,8 @@ func FuzzBinaryScanner(f *testing.F) {
 	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, fastErr := drainBinary(NewBinaryScanner(bytes.NewReader(data)))
-		slow, slowErr := drainBinary(NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(data))))
+		fast, fastErr := drainSource(NewBinaryScanner(bytes.NewReader(data)))
+		slow, slowErr := drainSource(NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(data))))
 		if (fastErr == nil) != (slowErr == nil) {
 			t.Fatalf("decode paths disagree on failure: window=%v one-byte=%v", fastErr, slowErr)
 		}
@@ -134,7 +134,7 @@ func TestBinaryScannerErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := drainBinary(NewBinaryScanner(bytes.NewReader(tc.input)))
+			_, err := drainSource(NewBinaryScanner(bytes.NewReader(tc.input)))
 			if err == nil {
 				t.Fatalf("no error, want %q", tc.want)
 			}
@@ -160,7 +160,7 @@ func TestBinaryScannerRoundTrip(t *testing.T) {
 			if got := tc.scan.Meta(); got.Name != "fuzz-seed" || got.Threads != 300 {
 				t.Fatalf("meta = %+v", got)
 			}
-			evs, err := drainBinary(tc.scan)
+			evs, err := drainSource(tc.scan)
 			if err != nil {
 				t.Fatal(err)
 			}

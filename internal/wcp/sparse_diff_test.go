@@ -6,7 +6,9 @@ package wcp
 // byte-identical — the representations may differ only in cost.
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +78,72 @@ func TestWCPFlatSparseAcrossClocks(t *testing.T) {
 			want := timestamp(fl, semF, vt.TID(th), vt.NewVector(k))
 			if !got.Equal(want) {
 				t.Fatalf("%s: thread %d: sparse %v, flat %v", tr.Meta.Name, th, got, want)
+			}
+		}
+	}
+}
+
+// TestWCPFlatSnapshotResume is the flat transport's crash-equivalence
+// check at the engine level, below the root crash matrix's session
+// runs: a flat engine snapshotted mid-trace and restored into a fresh
+// one must finish in the uninterrupted flat run's exact state — its next
+// snapshot byte for byte, reports, timestamps and MemStats — and both
+// must agree with the sparse engine. This keeps FlatWeak's
+// SaveWeak/LoadWeak and the flat store's state under test.
+func TestWCPFlatSnapshotResume(t *testing.T) {
+	t.Run("tree", func(t *testing.T) { flatSnapshotResume(t, core.Factory(nil)) })
+	t.Run("vc", func(t *testing.T) { flatSnapshotResume(t, vc.Factory(nil)) })
+}
+
+func flatSnapshotResume[C vt.Clock[C]](t *testing.T, f vt.Factory[C]) {
+	for _, tr := range randomTraces() {
+		semS, semF := NewSemantics[C](), NewSemanticsFlat[C]()
+		sparse, full := engine.New(semS, f), engine.New(semF, f)
+		aS, aF := sparse.EnableAnalysis(), full.EnableAnalysis()
+		sparse.Process(tr.Events)
+		full.Process(tr.Events)
+		var want bytes.Buffer
+		if err := full.Snapshot(&want); err != nil {
+			t.Fatal(err)
+		}
+		if aS.Summary() != aF.Summary() || !slices.Equal(aS.Samples, aF.Samples) {
+			t.Fatalf("%s: flat report %+v diverges from sparse %+v", tr.Meta.Name, aF.Summary(), aS.Summary())
+		}
+		for _, cut := range []int{len(tr.Events) / 3, 2 * len(tr.Events) / 3} {
+			first := engine.New(NewSemanticsFlat[C](), f)
+			first.EnableAnalysis()
+			first.Process(tr.Events[:cut])
+			var ck bytes.Buffer
+			if err := first.Snapshot(&ck); err != nil {
+				t.Fatal(err)
+			}
+			semR := NewSemanticsFlat[C]()
+			resumed := engine.New(semR, f)
+			aR := resumed.EnableAnalysis()
+			if err := resumed.Restore(&ck); err != nil {
+				t.Fatalf("%s: restore at %d: %v", tr.Meta.Name, cut, err)
+			}
+			resumed.Process(tr.Events[cut:])
+			var got bytes.Buffer
+			if err := resumed.Snapshot(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s: resumed at %d: final state differs from the uninterrupted flat run's", tr.Meta.Name, cut)
+			}
+			if aR.Summary() != aF.Summary() || !slices.Equal(aR.Samples, aF.Samples) {
+				t.Errorf("%s: resumed at %d: report %+v, uninterrupted %+v", tr.Meta.Name, cut, aR.Summary(), aF.Summary())
+			}
+			if semR.MemStats() != semF.MemStats() {
+				t.Errorf("%s: resumed at %d: MemStats %+v, uninterrupted %+v", tr.Meta.Name, cut, semR.MemStats(), semF.MemStats())
+			}
+			k := tr.Meta.Threads
+			for th := 0; th < sparse.Threads(); th++ {
+				g := timestamp(resumed, semR, vt.TID(th), vt.NewVector(k))
+				w := timestamp(sparse, semS, vt.TID(th), vt.NewVector(k))
+				if !g.Equal(w) {
+					t.Fatalf("%s: resumed at %d: thread %d: flat %v, sparse %v", tr.Meta.Name, cut, th, g, w)
+				}
 			}
 		}
 	}

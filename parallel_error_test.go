@@ -37,7 +37,7 @@ func TestParallelDecodeError(t *testing.T) {
 			text.Write(cancelTrace(5_000)) // never reached
 
 			base := runtime.NumGoroutine()
-			res, err := RunStreamParallel("wcp-tree", bytes.NewReader(text.Bytes()),
+			res, err := RunStream("wcp-tree", bytes.NewReader(text.Bytes()),
 				StreamValidate(), WithWorkers(2))
 			if err == nil {
 				t.Fatal("mid-stream fault produced no error")

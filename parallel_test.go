@@ -17,9 +17,10 @@ var parallelWorkerCounts = []int{1, 2, 4, 7}
 
 // TestParallelMatchesSequential is the acceptance harness of the
 // sharded runtime: for every generator workload and every registry
-// engine, RunStreamParallel at 1, 2, 4 and 7 workers must render a
-// byte-identical race report, identical timestamps, identical event
-// count and identical discovered metadata to sequential RunStream.
+// engine, RunStream with WithWorkers at 1, 2, 4 and 7 workers (one
+// worker still runs the sharded runtime) must render a byte-identical
+// race report, identical timestamps, identical event count and
+// identical discovered metadata to sequential RunStream.
 // In -short mode (the CI race job) the sweep trims to two shard
 // widths; the full matrix runs in the regular test job.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -40,7 +41,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 				want := raceReport(seq.Summary, seq.Samples)
 				for _, w := range counts {
-					par, err := treeclock.RunStreamParallel(engineName, bytes.NewReader(bin.Bytes()),
+					par, err := treeclock.RunStream(engineName, bytes.NewReader(bin.Bytes()),
 						treeclock.StreamBinary(), treeclock.WithWorkers(w))
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
@@ -85,7 +86,7 @@ func TestParallelTextPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := treeclock.RunStreamParallel(engineName, bytes.NewReader(text.Bytes()), treeclock.WithWorkers(3))
+		par, err := treeclock.RunStream(engineName, bytes.NewReader(text.Bytes()), treeclock.WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestParallelMemMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := treeclock.RunStreamParallelSource("wcp-tree",
+	par, err := treeclock.RunStreamSource("wcp-tree",
 		treeclock.LimitEvents(treeclock.GenerateHotLockStream(4, 17), n),
 		treeclock.WithWorkers(3))
 	if err != nil {
@@ -122,7 +123,7 @@ func TestParallelMemMerged(t *testing.T) {
 		t.Errorf("peak history %d, want sequential %d (a max, not a sum)", par.Mem.PeakLockHist, seq.Mem.PeakLockHist)
 	}
 	// The non-mem engines still report nothing in parallel.
-	res, err := treeclock.RunStreamParallelSource("hb-tree",
+	res, err := treeclock.RunStreamSource("hb-tree",
 		treeclock.LimitEvents(treeclock.GenerateHotLockStream(4, 17), n),
 		treeclock.WithWorkers(2))
 	if err != nil {
@@ -148,7 +149,7 @@ func TestParallelWorkStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var parStats treeclock.WorkStats
-	if _, err := treeclock.RunStreamParallel("hb-vc", bytes.NewReader(text.Bytes()),
+	if _, err := treeclock.RunStream("hb-vc", bytes.NewReader(text.Bytes()),
 		treeclock.WithWorkers(2), treeclock.StreamWorkStats(&parStats)); err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +162,15 @@ func TestParallelWorkStats(t *testing.T) {
 // validation path: discipline violations surface as errors from the
 // coordinator-side validator.
 func TestParallelOptionConflicts(t *testing.T) {
-	if _, err := treeclock.RunStreamParallel("hb-quantum", strings.NewReader("")); err == nil {
+	if _, err := treeclock.RunStream("hb-quantum", strings.NewReader(""), treeclock.WithWorkers(2)); err == nil {
 		t.Error("unknown engine accepted")
 	}
 	bad := "t0 acq l0\nt1 acq l0\n"
-	if _, err := treeclock.RunStreamParallel("hb-tree", strings.NewReader(bad),
+	if _, err := treeclock.RunStream("hb-tree", strings.NewReader(bad),
 		treeclock.WithWorkers(2), treeclock.StreamValidate()); err == nil {
 		t.Error("double acquire accepted with StreamValidate under workers")
 	}
-	if _, err := treeclock.RunStreamParallel("hb-tree", strings.NewReader("t0 frobnicate x0\n"),
+	if _, err := treeclock.RunStream("hb-tree", strings.NewReader("t0 frobnicate x0\n"),
 		treeclock.WithWorkers(2)); err == nil {
 		t.Error("malformed trace accepted under workers")
 	}
@@ -184,7 +185,7 @@ func TestParallelNoAnalysis(t *testing.T) {
 	if err := treeclock.WriteTraceText(&text, tr); err != nil {
 		t.Fatal(err)
 	}
-	res, err := treeclock.RunStreamParallel("hb-tree", bytes.NewReader(text.Bytes()),
+	res, err := treeclock.RunStream("hb-tree", bytes.NewReader(text.Bytes()),
 		treeclock.WithWorkers(2), treeclock.StreamNoAnalysis())
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func TestParallelNoAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, err := treeclock.RunStreamParallel("shb-tree", bytes.NewReader(text.Bytes()),
+	piped, err := treeclock.RunStream("shb-tree", bytes.NewReader(text.Bytes()),
 		treeclock.WithWorkers(2), treeclock.WithPipeline(3))
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +248,7 @@ func TestProgressCallbacks(t *testing.T) {
 		return err
 	})
 	check("parallel", func(fn func(treeclock.Progress)) error {
-		_, err := treeclock.RunStreamParallel("hb-tree", bytes.NewReader(text.Bytes()),
+		_, err := treeclock.RunStream("hb-tree", bytes.NewReader(text.Bytes()),
 			treeclock.WithWorkers(2), treeclock.WithProgress(10000, fn))
 		return err
 	})

@@ -4,12 +4,12 @@ import "testing"
 
 // TestAutoPipelineSelection pins the decode-mode default (ROADMAP:
 // WithPipeline becomes the default for text input when GOMAXPROCS > 1):
-// the auto depth engages exactly for unforced, unsharded text input on
-// a multi-core host, and an explicit WithPipeline choice
+// the auto depth engages exactly for unsharded text input on a
+// multi-core host, and an explicit WithPipeline choice
 // is never overridden (RunStream skips autoPipelineDepth entirely when
 // pipelineSet).
 func TestAutoPipelineSelection(t *testing.T) {
-	base := streamConfig{format: FormatText, analysis: true}
+	base := newConfig(nil)
 	cases := []struct {
 		name     string
 		mutate   func(*streamConfig)
@@ -19,9 +19,9 @@ func TestAutoPipelineSelection(t *testing.T) {
 		{"text multicore", func(c *streamConfig) {}, 4, defaultPipelineDepth},
 		{"text dualcore", func(c *streamConfig) {}, 2, defaultPipelineDepth},
 		{"text unicore", func(c *streamConfig) {}, 1, 0},
-		{"binary multicore", func(c *streamConfig) { c.format = FormatBinary }, 4, 0},
+		{"binary multicore", func(c *streamConfig) { c.binary = true }, 4, 0},
 		{"workers coordinate decode", func(c *streamConfig) { c.workers = 4 }, 4, 0},
-		{"forced parallel", func(c *streamConfig) { c.forceParallel = true }, 4, 0},
+		{"one worker still shards", func(c *streamConfig) { c.workers = 1 }, 4, 0},
 	}
 	for _, tc := range cases {
 		cfg := base

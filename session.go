@@ -1,7 +1,7 @@
 package treeclock
 
-// The session core: every streaming analysis — the four RunStream*
-// entry points, a checkpoint/resume cycle, a daemon-hosted trace that
+// The session core: every streaming analysis — RunStream and
+// RunStreamSource, a checkpoint/resume cycle, a daemon-hosted trace that
 // never ends — is one Session. Open validates the whole option set in
 // one place and builds the engine replicas; the session then runs in
 // exactly one of two modes, bound by the first driving call:
@@ -67,7 +67,7 @@ const (
 // Session is one streaming analysis in progress: the engine replicas,
 // their configuration, and the driving state. Construct with Open,
 // drive with Run (pull) or Feed/Snapshot (push), finish with Result
-// (push) and Close. The four RunStream* entry points are wrappers over
+// (push) and Close. RunStream and RunStreamSource are wrappers over
 // exactly this type.
 type Session struct {
 	info     EngineInfo
@@ -102,15 +102,11 @@ type Session struct {
 // source (WithInternCap's text requirement) fail on the first driving
 // call instead. The returned session must be Closed.
 func Open(engineName string, opts ...StreamOption) (*Session, error) {
-	cfg := streamConfig{format: FormatText, analysis: true}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return newSession(engineName, cfg)
+	return newSession(engineName, newConfig(opts))
 }
 
 // newSession is the single construction and validation path behind
-// Open and the four RunStream* entry points.
+// Open and the RunStream entry points.
 func newSession(engineName string, cfg streamConfig) (*Session, error) {
 	info, ok := engineRegistry[engineName]
 	if !ok {
@@ -119,7 +115,7 @@ func newSession(engineName string, cfg streamConfig) (*Session, error) {
 	if (cfg.ckptSink != nil || cfg.resume != nil) && cfg.pipeline > 0 {
 		return nil, fmt.Errorf("treeclock: WithCheckpoint/ResumeFrom and WithPipeline are mutually exclusive (the pipelined decoder is not checkpointable)")
 	}
-	s := &Session{info: info, cfg: cfg, parallel: cfg.workers > 1 || cfg.forceParallel}
+	s := &Session{info: info, cfg: cfg, parallel: cfg.workers >= 1}
 	if err := s.buildEngines(); err != nil {
 		return nil, err
 	}
@@ -146,9 +142,6 @@ func (s *Session) buildEngines() error {
 		return nil
 	}
 	n := cfg.workers
-	if n < 1 {
-		n = 1
-	}
 	s.engines = make([]streamEngine, n)
 	if cfg.stats != nil {
 		s.sinks = make([]WorkStats, n)
@@ -183,8 +176,8 @@ func buildEngine(info EngineInfo, cfg *streamConfig, sink *WorkStats, owns func(
 	return newStreamEngine[*vc.VectorClock](info.Order, vc.Factory(sink), cfg, owns)
 }
 
-// Run drains src through the session to completion — the pull mode the
-// four RunStream* entry points wrap. It binds the session: a second
+// Run drains src through the session to completion — the pull mode
+// RunStream and RunStreamSource wrap. It binds the session: a second
 // Run fails with ErrSessionRan, and Feed fails with ErrFeedAfterRun.
 // On a driver error (cancellation, decode failure, a checkpoint sink
 // failure) the partial StreamResult is returned alongside the error,

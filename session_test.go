@@ -53,24 +53,17 @@ func TestSessionPushMatchesPull(t *testing.T) {
 				name = fmt.Sprintf("%s/par%d", v.label, workers)
 			}
 			t.Run(name, func(t *testing.T) {
-				opts := append([]StreamOption{}, v.opts...)
-				var want *StreamResult
-				var err error
-				if workers > 0 {
-					opts = append(opts, WithWorkers(workers))
-					want, err = RunStreamParallelSource(v.engine, NewTraceReplayer(tr), opts...)
-				} else {
-					want, err = RunStreamSource(v.engine, NewTraceReplayer(tr), opts...)
+				run, open := RunStreamSource, Open
+				if v.flat {
+					run, open = runFlatSource, openFlat
 				}
+				opts := []StreamOption{WithWorkers(workers)}
+				want, err := run(v.engine, NewTraceReplayer(tr), opts...)
 				if err != nil {
 					t.Fatalf("pull run: %v", err)
 				}
 
-				pushOpts := append([]StreamOption{}, v.opts...)
-				if workers > 0 {
-					pushOpts = append(pushOpts, WithWorkers(workers))
-				}
-				s, err := Open(v.engine, pushOpts...)
+				s, err := open(v.engine, opts...)
 				if err != nil {
 					t.Fatalf("Open: %v", err)
 				}
@@ -88,6 +81,33 @@ func TestSessionPushMatchesPull(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWithWorkersSelectsSharded pins the worker-count contract: any
+// n >= 1 builds the sharded runtime with n replicas, one included, and
+// n <= 0 or no option builds the sequential one.
+func TestWithWorkersSelectsSharded(t *testing.T) {
+	for _, tc := range []struct {
+		opts     []StreamOption
+		parallel bool
+		replicas int
+	}{
+		{nil, false, 1},
+		{[]StreamOption{WithWorkers(0)}, false, 1},
+		{[]StreamOption{WithWorkers(-3)}, false, 1},
+		{[]StreamOption{WithWorkers(1)}, true, 1},
+		{[]StreamOption{WithWorkers(3)}, true, 3},
+	} {
+		s, err := Open("hb-tree", tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.parallel != tc.parallel || len(s.engines) != tc.replicas {
+			t.Errorf("workers %d: sharded %v with %d replicas, want %v with %d",
+				s.cfg.workers, s.parallel, len(s.engines), tc.parallel, tc.replicas)
+		}
+		s.Close()
 	}
 }
 
@@ -110,12 +130,7 @@ func TestSessionSnapshotResume(t *testing.T) {
 				if workers > 0 {
 					opts = append(opts, WithWorkers(workers))
 				}
-				want, err := RunStreamSource(engine, NewTraceReplayer(tr),
-					append([]StreamOption{}, opts...)...)
-				if workers > 0 {
-					want, err = RunStreamParallelSource(engine, NewTraceReplayer(tr),
-						append([]StreamOption{}, opts...)...)
-				}
+				want, err := RunStreamSource(engine, NewTraceReplayer(tr), opts...)
 				if err != nil {
 					t.Fatalf("uninterrupted run: %v", err)
 				}
@@ -362,7 +377,7 @@ func TestSessionConcurrent(t *testing.T) {
 		}(i, name)
 		go func(i int, name string) { // sharded pull-mode session
 			defer wg.Done()
-			got, err := RunStreamParallelSource(name, NewTraceReplayer(tr), WithWorkers(2))
+			got, err := RunStreamSource(name, NewTraceReplayer(tr), WithWorkers(2))
 			if err != nil {
 				errs[2*i+1] = err
 				return

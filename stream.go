@@ -68,26 +68,14 @@ func EngineInfos() []EngineInfo {
 	return infos
 }
 
-// TraceFormat selects a trace serialization for streaming.
-type TraceFormat uint8
-
-const (
-	// FormatText is the line-oriented text format.
-	FormatText TraceFormat = iota
-	// FormatBinary is the compact binary format of WriteTraceBinary.
-	FormatBinary
-)
-
 // streamConfig collects RunStream options.
 type streamConfig struct {
-	format        TraceFormat
+	binary        bool // StreamBinary: the reader holds the binary format
 	analysis      bool
 	validate      bool
 	pipeline      int  // pipelined-decode depth; <= 0 = synchronous
 	pipelineSet   bool // WithPipeline was given (auto-selection is off)
-	workers       int  // sharded-analysis worker count; <= 1 = sequential
-	forceParallel bool // RunStreamParallel entry: shard even at 1 worker
-	flatWeak      bool // wcp only: flat-vector weak-clock transport
+	workers       int  // sharded-analysis replica count; <= 0 = sequential
 	progressEvery uint64
 	progressFn    func(Progress)
 	stats         *WorkStats
@@ -103,13 +91,21 @@ type streamConfig struct {
 // StreamOption configures RunStream.
 type StreamOption func(*streamConfig)
 
-// StreamFormat selects the input serialization (default FormatText).
-func StreamFormat(f TraceFormat) StreamOption {
-	return func(c *streamConfig) { c.format = f }
+// newConfig applies opts over the defaults: text input, analysis on,
+// sequential.
+func newConfig(opts []StreamOption) streamConfig {
+	cfg := streamConfig{analysis: true}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
 }
 
-// StreamBinary is shorthand for StreamFormat(FormatBinary).
-func StreamBinary() StreamOption { return StreamFormat(FormatBinary) }
+// StreamBinary makes RunStream read the compact binary format of
+// WriteTraceBinary instead of the default text format.
+func StreamBinary() StreamOption {
+	return func(c *streamConfig) { c.binary = true }
+}
 
 // StreamNoAnalysis disables race / reversible-pair detection, computing
 // the pure partial order (what the paper times as "HB", "SHB", "MAZ").
@@ -139,26 +135,23 @@ func WithPipeline(depth int) StreamOption {
 
 // WithWorkers runs the analysis sharded across n workers: variables
 // partition across n full engine replicas by stable hash, each replica
-// processes the whole event stream (so clock evolution is identical
-// everywhere), and the per-variable race analysis — the dominant
-// per-event cost on access-heavy workloads — runs only on the
-// variable's owner. The merged result is byte-identical to the
-// sequential run's. n <= 1 selects the sequential path; RunStreamParallel
-// defaults n to GOMAXPROCS.
+// processes the whole event stream in trace order (sequenced by a
+// coordinator through per-worker SPSC ring queues, so clock evolution
+// is identical everywhere), and the per-variable race analysis — the
+// dominant per-event cost on access-heavy workloads — runs only on the
+// variable's owner. The merged result — counts, samples in trace
+// order, timestamps, metadata — is byte-identical to the sequential
+// run's; StreamResult.Mem sums the replicas' retained state (and so
+// grows with the worker count: sharding trades replicated clock
+// scaffolding for parallel analysis).
+//
+// Any n >= 1 selects the sharded runtime, one worker included (it
+// runs the coordinator and one replica); n <= 0, like leaving the
+// option out, selects the sequential path. WithPipeline is rarely
+// worth it here: the coordinator already decodes concurrently with
+// the workers. See internal/parallel for the transport.
 func WithWorkers(n int) StreamOption {
 	return func(c *streamConfig) { c.workers = n }
-}
-
-// WithFlatWeakClocks selects the flat-vector weak-clock transport for
-// the "wcp-*" engines instead of the default sparse copy-on-write
-// segment representation. The two transports are observationally
-// identical (the differential suites pin them byte for byte); the flat
-// one pays Θ(threads) per release snapshot and transport operation. It
-// exists as the benchmark baseline the sparse representation is
-// measured against — see the "weak" column of tcbench's ingest sweep.
-// Engines whose order is not "wcp" ignore the option.
-func WithFlatWeakClocks() StreamOption {
-	return func(c *streamConfig) { c.flatWeak = true }
 }
 
 // WithSlotReclaim makes the engine reclaim thread slots: when a thread
@@ -184,7 +177,7 @@ func WithSlotReclaim() StreamOption {
 // clock). The cap is a soft target: entries under locks currently held
 // are never dropped, so a pathological all-locks-held instant can
 // exceed it. n <= 0 (the default) disables aging. Engines whose order
-// is not "wcp" ignore the option, like WithFlatWeakClocks.
+// is not "wcp" ignore the option.
 func WithSummaryCap(n int) StreamOption {
 	return func(c *streamConfig) { c.summaryCap = n }
 }
@@ -344,23 +337,12 @@ func newStreamEngine[C vt.Clock[C]](order string, f vt.Factory[C], cfg *streamCo
 		rt = engine.New[C](maz.NewSemantics[C](), f)
 	case "wcp":
 		// WCP timestamps are the weak clocks (plus thread order), not
-		// the runtime's HB scaffolding. The weak-clock transport is
-		// sparse by default; WithFlatWeakClocks selects the flat
-		// baseline.
-		if cfg.flatWeak {
-			sem := wcp.NewSemanticsFlat[C]()
-			sem.SetSummaryCap(cfg.summaryCap)
-			rt = engine.New[C](sem, f)
-			timestamp = func(t vt.TID, dst vt.Vector) vt.Vector {
-				return sem.Timestamp(t, rt.ThreadClock(t).Get(t), dst)
-			}
-		} else {
-			sem := wcp.NewSemantics[C]()
-			sem.SetSummaryCap(cfg.summaryCap)
-			rt = engine.New[C](sem, f)
-			timestamp = func(t vt.TID, dst vt.Vector) vt.Vector {
-				return sem.Timestamp(t, rt.ThreadClock(t).Get(t), dst)
-			}
+		// the runtime's HB scaffolding.
+		sem := wcp.NewSemantics[C]()
+		sem.SetSummaryCap(cfg.summaryCap)
+		rt = engine.New[C](sem, f)
+		timestamp = func(t vt.TID, dst vt.Vector) vt.Vector {
+			return sem.Timestamp(t, rt.ThreadClock(t).Get(t), dst)
 		}
 	default:
 		panic("treeclock: unknown partial order " + order)
@@ -401,20 +383,12 @@ func newStreamEngine[C vt.Clock[C]](order string, f vt.Factory[C], cfg *streamCo
 // The engine name is a registry key (see Engines): "hb-tree", "hb-vc",
 // "shb-tree", "shb-vc", "maz-tree", "maz-vc", "wcp-tree" or "wcp-vc".
 // Race / reversible-pair analysis is on by default; configure with
-// StreamOption values.
+// StreamOption values (WithWorkers shards the analysis across cores).
 func RunStream(engineName string, r io.Reader, opts ...StreamOption) (*StreamResult, error) {
-	cfg := streamConfig{format: FormatText, analysis: true}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	var src trace.EventSource
-	switch cfg.format {
-	case FormatText:
-		src = trace.NewScanner(r)
-	case FormatBinary:
+	cfg := newConfig(opts)
+	var src trace.EventSource = trace.NewScanner(r)
+	if cfg.binary {
 		src = trace.NewBinaryScanner(r)
-	default:
-		return nil, fmt.Errorf("treeclock: unknown trace format %d", cfg.format)
 	}
 	if !cfg.pipelineSet {
 		cfg.pipeline = autoPipelineDepth(&cfg, runtime.GOMAXPROCS(0))
@@ -433,7 +407,7 @@ const defaultPipelineDepth = 4
 // win a goroutine hand-off, and sharded runs already overlap decode
 // (the coordinator parses while the workers analyze).
 func autoPipelineDepth(cfg *streamConfig, maxprocs int) int {
-	if cfg.workers > 1 || cfg.forceParallel || cfg.format != FormatText || maxprocs < 2 {
+	if cfg.workers >= 1 || cfg.binary || maxprocs < 2 {
 		return 0
 	}
 	if cfg.ckptSink != nil || cfg.resume != nil {
@@ -446,19 +420,16 @@ func autoPipelineDepth(cfg *streamConfig, maxprocs int) int {
 // RunStreamSource is RunStream over an already-constructed event
 // source — a trace scanner, an in-memory TraceReplayer, or one of the
 // endless workload generators (GenerateHotLockStream and friends,
-// capped with LimitEvents). Format options are ignored (the source is
-// already decoded); validation and pipelining apply as in RunStream.
-// A source without batch support is drained one event at a time.
+// capped with LimitEvents). StreamBinary is ignored (the source is
+// already decoded); validation, pipelining and sharding apply as in
+// RunStream. A source without batch support is drained one event at a
+// time.
 func RunStreamSource(engineName string, src EventSource, opts ...StreamOption) (*StreamResult, error) {
-	cfg := streamConfig{format: FormatText, analysis: true}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return runStream(engineName, src, cfg)
+	return runStream(engineName, src, newConfig(opts))
 }
 
-// runStream is the single funnel behind all four RunStream* entry
-// points: open a session over the configuration, drain src through it
+// runStream is the single funnel behind both RunStream entry points:
+// open a session over the configuration, drain src through it
 // pull-mode, close. Validation, the drivers and result assembly all
 // live on Session.
 func runStream(engineName string, src trace.EventSource, cfg streamConfig) (*StreamResult, error) {

@@ -50,7 +50,7 @@ func generatorSuite() []*treeclock.Trace {
 // with it checks the registry's wiring (name to order, race detector
 // or self-checking analysis, WCP's weak-clock timestamps) and that
 // clocks grown as identifiers appear compute what pre-sized ones do.
-func materialized(t *testing.T, tr *treeclock.Trace, engineName string) (treeclock.RaceSummary, []treeclock.Race, []treeclock.Vector) {
+func materialized(t *testing.T, tr *treeclock.Trace, engineName string) reference {
 	t.Helper()
 	order, clock, _ := strings.Cut(engineName, "-")
 	k := tr.Meta.Threads
@@ -61,7 +61,15 @@ func materialized(t *testing.T, tr *treeclock.Trace, engineName string) (treeclo
 		return runPreSized(t, order, tr, presized(vc.Factory(nil), k))
 	}
 	t.Fatalf("unknown engine %q", engineName)
-	return treeclock.RaceSummary{}, nil, nil
+	return reference{}
+}
+
+// reference is the outcome of a pre-sized run outside the registry.
+type reference struct {
+	sum     treeclock.RaceSummary
+	samples []treeclock.Race
+	ts      []treeclock.Vector
+	mem     treeclock.MemStats // zero for orders without a memory reporter
 }
 
 // presized wraps f so every clock is allocated k threads wide up front,
@@ -70,7 +78,10 @@ func presized[C any](f vt.Factory[C], k int) vt.Factory[C] {
 	return func(int) C { return f(k) }
 }
 
-func runPreSized[C vt.Clock[C]](t *testing.T, order string, tr *treeclock.Trace, f vt.Factory[C]) (treeclock.RaceSummary, []treeclock.Race, []treeclock.Vector) {
+// runPreSized runs tr through order's semantics bound to engine.New.
+// Besides the registry orders it accepts "wcp-flat": WCP on the flat
+// weak-clock transport, the oracle the sparse transport is pinned to.
+func runPreSized[C vt.Clock[C]](t *testing.T, order string, tr *treeclock.Trace, f vt.Factory[C]) reference {
 	t.Helper()
 	var (
 		rt  *engine.Runtime[C]
@@ -92,6 +103,11 @@ func runPreSized[C vt.Clock[C]](t *testing.T, order string, tr *treeclock.Trace,
 		rt = engine.New[C](sem, f)
 		acc = rt.EnableAnalysis()
 		ts = func(th vt.TID, dst vt.Vector) vt.Vector { return sem.Timestamp(th, rt.ThreadClock(th).Get(th), dst) }
+	case "wcp-flat":
+		sem := wcp.NewSemanticsFlat[C]()
+		rt = engine.New[C](sem, f)
+		acc = rt.EnableAnalysis()
+		ts = func(th vt.TID, dst vt.Vector) vt.Vector { return sem.Timestamp(th, rt.ThreadClock(th).Get(th), dst) }
 	default:
 		t.Fatalf("unknown order %q", order)
 	}
@@ -103,7 +119,8 @@ func runPreSized[C vt.Clock[C]](t *testing.T, order string, tr *treeclock.Trace,
 	for th := range out {
 		out[th] = ts(vt.TID(th), vt.NewVector(tr.Meta.Threads))
 	}
-	return acc.Summary(), acc.Samples, out
+	mem, _ := rt.MemStats()
+	return reference{acc.Summary(), acc.Samples, out, mem}
 }
 
 // raceReport renders a summary and its samples deterministically; the
@@ -157,7 +174,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 // materialized run of ref.
 func checkStream(t *testing.T, engineName string, ref *treeclock.Trace, data []byte, opts ...treeclock.StreamOption) {
 	t.Helper()
-	wantSum, wantSamples, wantTS := materialized(t, ref, engineName)
+	want := materialized(t, ref, engineName)
 	res, err := treeclock.RunStream(engineName, bytes.NewReader(data), opts...)
 	if err != nil {
 		t.Fatalf("RunStream: %v", err)
@@ -165,19 +182,24 @@ func checkStream(t *testing.T, engineName string, ref *treeclock.Trace, data []b
 	if res.Events != uint64(ref.Len()) {
 		t.Errorf("Events = %d, want %d", res.Events, ref.Len())
 	}
-	got := raceReport(res.Summary, res.Samples)
-	want := raceReport(wantSum, wantSamples)
-	if got != want {
-		t.Errorf("race report diverges:\nstreaming:\n%s\nmaterialized:\n%s", got, want)
+	matchReference(t, res, want, ref.Meta.Threads)
+}
+
+// matchReference fails t unless res renders want's race report and
+// agrees with its timestamps over all k threads of the trace.
+func matchReference(t *testing.T, res *treeclock.StreamResult, want reference, k int) {
+	t.Helper()
+	if got, w := raceReport(res.Summary, res.Samples), raceReport(want.sum, want.samples); got != w {
+		t.Errorf("race report diverges:\nstreaming:\n%s\nreference:\n%s", got, w)
 	}
-	if res.Meta.Threads > ref.Meta.Threads {
-		t.Fatalf("discovered %d threads, reference has %d", res.Meta.Threads, ref.Meta.Threads)
+	if res.Meta.Threads > k {
+		t.Fatalf("discovered %d threads, reference has %d", res.Meta.Threads, k)
 	}
 	for th := 0; th < res.Meta.Threads; th++ {
-		gotV, wantV := res.Timestamps[th], wantTS[th]
-		for u := 0; u < ref.Meta.Threads; u++ {
+		gotV, wantV := res.Timestamps[th], want.ts[th]
+		for u := 0; u < k; u++ {
 			if gotV.Get(treeclock.ThreadID(u)) != wantV.Get(treeclock.ThreadID(u)) {
-				t.Fatalf("thread %d timestamp diverges: streaming %v, materialized %v", th, gotV, wantV)
+				t.Fatalf("thread %d timestamp diverges: streaming %v, reference %v", th, gotV, wantV)
 			}
 		}
 	}

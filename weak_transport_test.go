@@ -1,97 +1,71 @@
 package treeclock_test
 
 // Differential pinning of the WCP weak-clock transports through the
-// public streaming API: WithFlatWeakClocks must change throughput
-// characteristics only — race reports, timestamps and retained-state
-// counters stay byte-identical across the sequential, pipelined and
-// sharded paths.
+// public streaming API: the registry's sparse transport must reproduce
+// the flat-vector oracle (runPreSized's "wcp-flat") — race reports,
+// timestamps and retained-state counters — on the sequential,
+// pipelined and sharded paths.
 
 import (
 	"bytes"
 	"testing"
 
 	"treeclock"
+	"treeclock/internal/core"
+	"treeclock/internal/vc"
 )
 
-// runWeak streams data through a wcp engine with the given transport
-// and path options and renders its full observable outcome.
-func runWeak(t *testing.T, engineName string, data []byte, parallel bool, opts ...treeclock.StreamOption) (*treeclock.StreamResult, string) {
-	t.Helper()
-	var (
-		res *treeclock.StreamResult
-		err error
-	)
-	if parallel {
-		res, err = treeclock.RunStreamParallel(engineName, bytes.NewReader(data), opts...)
-	} else {
-		res, err = treeclock.RunStream(engineName, bytes.NewReader(data), opts...)
-	}
-	if err != nil {
-		t.Fatalf("%s: %v", engineName, err)
-	}
-	return res, raceReport(res.Summary, res.Samples)
-}
-
 func TestWCPFlatWeakTransportByteIdentical(t *testing.T) {
+	const workers = 3
 	paths := []struct {
 		name     string
-		parallel bool
+		replicas int // MemStats sums the counters over sharded replicas
 		opts     []treeclock.StreamOption
 	}{
-		{"batch", false, []treeclock.StreamOption{treeclock.WithPipeline(0)}},
-		{"pipeline", false, []treeclock.StreamOption{treeclock.WithPipeline(3)}},
-		{"workers", true, []treeclock.StreamOption{treeclock.WithWorkers(3)}},
+		{"batch", 1, []treeclock.StreamOption{treeclock.WithPipeline(0)}},
+		{"pipeline", 1, []treeclock.StreamOption{treeclock.WithPipeline(3)}},
+		{"workers", workers, []treeclock.StreamOption{treeclock.WithWorkers(workers)}},
 	}
 	for _, tr := range generatorSuite() {
 		var text bytes.Buffer
 		if err := treeclock.WriteTraceText(&text, tr); err != nil {
 			t.Fatal(err)
 		}
+		// The text format renames identifiers in order of first
+		// appearance; the flat reference runs the re-parsed trace.
+		reparsed, err := treeclock.ParseTrace(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := reparsed.Meta.Threads
 		for _, engineName := range []string{"wcp-tree", "wcp-vc"} {
+			var flat reference
+			if engineName == "wcp-tree" {
+				flat = runPreSized(t, "wcp-flat", reparsed, presized(core.Factory(nil), k))
+			} else {
+				flat = runPreSized(t, "wcp-flat", reparsed, presized(vc.Factory(nil), k))
+			}
 			for _, p := range paths {
 				t.Run(tr.Meta.Name+"/"+engineName+"/"+p.name, func(t *testing.T) {
-					sparse, sparseReport := runWeak(t, engineName, text.Bytes(), p.parallel, p.opts...)
-					flatOpts := append([]treeclock.StreamOption{treeclock.WithFlatWeakClocks()}, p.opts...)
-					flat, flatReport := runWeak(t, engineName, text.Bytes(), p.parallel, flatOpts...)
-					if sparseReport != flatReport {
-						t.Errorf("race reports diverge:\nsparse:\n%s\nflat:\n%s", sparseReport, flatReport)
+					sparse, err := treeclock.RunStream(engineName, bytes.NewReader(text.Bytes()), p.opts...)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for th := range sparse.Timestamps {
-						g, w := sparse.Timestamps[th], flat.Timestamps[th]
-						for u := 0; u < len(g) || u < len(w); u++ {
-							if g.Get(treeclock.ThreadID(u)) != w.Get(treeclock.ThreadID(u)) {
-								t.Fatalf("thread %d timestamp diverges: sparse %v, flat %v", th, g, w)
-							}
-						}
-					}
-					if sparse.Mem == nil || flat.Mem == nil {
+					matchReference(t, sparse, flat, k)
+					if sparse.Mem == nil {
 						t.Fatal("wcp engines must report retained-state accounting")
 					}
 					// The history/compaction counters are transport-
 					// independent; byte and pool counts are not.
-					if sparse.Mem.HistEntries != flat.Mem.HistEntries ||
-						sparse.Mem.PeakLockHist != flat.Mem.PeakLockHist ||
-						sparse.Mem.DroppedEntries != flat.Mem.DroppedEntries ||
-						sparse.Mem.SummaryVectors != flat.Mem.SummaryVectors {
-						t.Errorf("retained-state counters diverge:\nsparse %+v\nflat   %+v", sparse.Mem, flat.Mem)
+					n := p.replicas
+					if sparse.Mem.HistEntries != n*flat.mem.HistEntries ||
+						sparse.Mem.PeakLockHist != flat.mem.PeakLockHist ||
+						sparse.Mem.DroppedEntries != uint64(n)*flat.mem.DroppedEntries ||
+						sparse.Mem.SummaryVectors != n*flat.mem.SummaryVectors {
+						t.Errorf("retained-state counters diverge over %d replica(s):\nsparse %+v\nflat   %+v", n, sparse.Mem, flat.mem)
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestFlatWeakClocksIgnoredByStrongOrders: the option is a no-op for
-// engines without a weak transport.
-func TestFlatWeakClocksIgnoredByStrongOrders(t *testing.T) {
-	tr := treeclock.GenerateStar(6, 500, 1)
-	var text bytes.Buffer
-	if err := treeclock.WriteTraceText(&text, tr); err != nil {
-		t.Fatal(err)
-	}
-	plain, plainReport := runWeak(t, "hb-tree", text.Bytes(), false)
-	opt, optReport := runWeak(t, "hb-tree", text.Bytes(), false, treeclock.WithFlatWeakClocks())
-	if plainReport != optReport || plain.Events != opt.Events {
-		t.Errorf("WithFlatWeakClocks changed an hb run: %q vs %q", plainReport, optReport)
 	}
 }
