@@ -393,8 +393,10 @@ func (d *Dec) ExpectEOF() {
 	}
 }
 
-// remaining returns the unread payload bytes of the open section.
-func (d *Dec) remaining() int { return len(d.buf) - d.pos }
+// Remaining returns the unread payload bytes of the open section. A
+// caller that reads a count in its own encoding bounds it with this
+// before allocating, the way Len does for uvarint counts.
+func (d *Dec) Remaining() int { return len(d.buf) - d.pos }
 
 func (d *Dec) take(n int) []byte {
 	if d.err != nil {
@@ -404,8 +406,8 @@ func (d *Dec) take(n int) []byte {
 		d.fail(errors.New("ckpt: read outside a section"))
 		return nil
 	}
-	if d.remaining() < n {
-		d.corrupt("section %q truncated (%d bytes left, need %d)", d.name, d.remaining(), n)
+	if d.Remaining() < n {
+		d.corrupt("section %q truncated (%d bytes left, need %d)", d.name, d.Remaining(), n)
 		return nil
 	}
 	b := d.buf[d.pos : d.pos+n]
@@ -517,7 +519,7 @@ func (d *Dec) Bytes() []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n > uint64(d.remaining()) {
+	if n > uint64(d.Remaining()) {
 		d.corrupt("section %q: byte string length %d exceeds payload", d.name, n)
 		return nil
 	}
@@ -536,7 +538,7 @@ func (d *Dec) String() string {
 	if d.err != nil {
 		return ""
 	}
-	if n > uint64(d.remaining()) {
+	if n > uint64(d.Remaining()) {
 		d.corrupt("section %q: string length %d exceeds payload", d.name, n)
 		return ""
 	}
@@ -555,7 +557,7 @@ func (d *Dec) Len(elemSize int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n > uint64(d.remaining())/uint64(elemSize) {
+	if n > uint64(d.Remaining())/uint64(elemSize) {
 		d.corrupt("section %q: count %d exceeds payload", d.name, n)
 		return 0
 	}

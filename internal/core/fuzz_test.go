@@ -20,7 +20,8 @@ func (c *fuzzChoices) Intn(n int) int {
 	return int(b) % n
 }
 
-// maxFuzzCap bounds the capacity a fuzzed Grow may reach.
+// maxFuzzCap bounds the capacity of a fuzzed clock: the most a fuzzed
+// Grow may reach, and the most FuzzTreeClockLoad encodes.
 const maxFuzzCap = 16
 
 // mix rebuilds the model's still-fresh clocks at input-chosen

@@ -4,44 +4,31 @@ import "treeclock/internal/vt"
 
 // This file implements the paper's Algorithm 2: Join, MonotoneCopy and
 // the helper routines getUpdatedNodesJoin / getUpdatedNodesCopy /
-// detachNodes / attachNodes / pushChild. Three implementation choices
+// detachNodes / attachNodes / pushChild. Two implementation choices
 // beyond the paper's pseudocode (its own implementation applies the
 // same ideas: "recursive routines have been made iterative", "two
 // arrays of length k"):
 //
-//   - Traversals are iterative with an explicit frame stack, with a
-//     fast path for leaves that skips the stack entirely.
-//   - Detachment is fused into the gather traversal: a node is unlinked
-//     from the receiver's tree the moment it is found to have
-//     progressed. This is safe because gathering walks only the source
-//     clock's links, never the receiver's, and unlinking nodes from a
-//     doubly-linked child list keeps it consistent in any order.
-//   - The gather stack records each node's new (clk, aclk, parent)
-//     while the source node is hot in cache, so the attach pass only
-//     writes to the receiver.
+//   - The three routines are one pre-order pass over the source tree
+//     (update). A node that has progressed is unlinked from the
+//     receiver the moment it is found and linked under its source
+//     parent, behind the children already linked there. Siblings are
+//     found in descending attachment order, so every rebuilt child
+//     list keeps that order, and the kept children (attached earlier,
+//     hence with smaller attachment times — indirect monotonicity's
+//     contrapositive) stay behind them. Interleaving the moves is safe
+//     because the scan reads only the source's links, and each move
+//     leaves every child list of the receiver a consistent
+//     doubly-linked list.
+//   - The pass keeps no stack and no buffer. When a node's child scan
+//     ends, it climbs back through the source's own par link and goes
+//     on at the node's next sibling. An inner node's new time is
+//     written only when its child scan ends, so the sibling break of
+//     its children still reads the receiver's old time.
 //
-// All keep the operation-for-operation behaviour of Algorithm 2 (the
-// same nodes are compared, detached and attached); the model-based and
-// differential tests pin that down.
-
-// rec is one gathered node: the thread, its new time, and its position
-// in the source tree. par is none for the source's root.
-type rec struct {
-	u    vt.TID
-	par  vt.TID
-	clk  vt.Time
-	aclk vt.Time
-}
-
-// frame is one level of the iterative traversal: node u of the source,
-// the next child v of u still to examine, and u's gathered record data.
-type frame struct {
-	u    vt.TID
-	v    vt.TID
-	par  vt.TID
-	clk  vt.Time
-	aclk vt.Time
-}
+// Both keep the operation-for-operation behaviour of Algorithm 2 (the
+// same nodes are compared, detached and attached); the model-based,
+// differential and work-count tests pin that down.
 
 // Join updates the clock to the pointwise maximum with o (c ← c ⊔ o).
 //
@@ -80,14 +67,11 @@ func (c *TreeClock) Join(o *TreeClock) {
 		// protocol. Fail loudly rather than corrupt the tree.
 		panic("core: Join source knows the receiver's own thread's future")
 	}
-	s, _ := c.gatherDetach(o, none)
-	c.attach(s)
+	c.update(o, none)
 	// Place the updated subtree under the root, at the front of its
 	// child list (its attachment time is the current root time, the
 	// largest so far, preserving the descending-aclk order).
-	c.sh[zr].aclk = c.clk[c.root]
-	c.pushChild(zr, c.root)
-	c.gather = s[:0]
+	c.pushChild(zr, c.root, c.clk[c.root])
 }
 
 // MonotoneCopy overwrites the clock with o, assuming this ⊑ o (Lemma 2
@@ -112,8 +96,7 @@ func (c *TreeClock) MonotoneCopy(o *TreeClock) {
 		c.stats.Copies++
 	}
 	oldRoot := c.root
-	s, sawOldRoot := c.gatherDetach(o, oldRoot)
-	c.attach(s)
+	sawOldRoot := c.update(o, oldRoot)
 	c.root = o.root
 	if c.sh[c.root].par == notIn {
 		c.nodes++
@@ -126,13 +109,11 @@ func (c *TreeClock) MonotoneCopy(o *TreeClock) {
 		// sibling break — see Lemma 5); re-attach it conservatively
 		// under the new root. An inflated attachment time only makes
 		// future traversals prune less, never incorrectly.
-		c.sh[oldRoot].aclk = c.clk[c.root]
-		c.pushChild(oldRoot, c.root)
+		c.pushChild(oldRoot, c.root, c.clk[c.root])
 		if c.stats != nil {
 			c.stats.ForcedRootAttach++
 		}
 	}
-	c.gather = s[:0]
 }
 
 // CopyCheckMonotone overwrites the clock with o without assuming
@@ -153,73 +134,76 @@ func (c *TreeClock) CopyCheckMonotone(o *TreeClock) bool {
 	return false
 }
 
-// gatherDetach performs the pre-order traversal of o, collecting in
-// post-order (parents after their descendants) the threads that have
-// progressed in o relative to c, and unlinking each from c's tree as it
-// is found (getUpdatedNodesJoin/getUpdatedNodesCopy + detachNodes).
+// update performs getUpdatedNodes, detachNodes and attachNodes in one
+// pre-order pass over o. It visits only the nodes that may carry new
+// information, moves each progressed node from its place in c to its
+// place in o, and installs its new time. o's root gets its time and is
+// unlinked from c, but the caller positions it: under c's root for
+// Join, as the new root for MonotoneCopy.
 //
-// For MonotoneCopy, z names c's current root: it is gathered even when
-// unprogressed so it can be repositioned to mirror o's shape
-// (Algorithm 2, line 67); Join passes z == none. The second result
-// reports whether z was gathered (always true for Join).
-func (c *TreeClock) gatherDetach(o *TreeClock, z vt.TID) ([]rec, bool) {
-	s := c.gather[:0]
-	fs := c.frames[:0]
+// For MonotoneCopy, z names c's current root: it is moved even when
+// unprogressed so the new tree mirrors o's shape (Algorithm 2, line
+// 67); Join passes z == none. The result reports whether z was moved
+// (always true for Join).
+func (c *TreeClock) update(o *TreeClock, z vt.TID) bool {
 	noBreak := c.mode == ModeNoIndirectBreak
 	cclk, csh := c.clk, c.sh
 	oclk, osh := o.clk, o.sh
-	st := c.stats
-	var entries uint64
+	var entries, changed uint64
 
 	croot := c.root
 	zr := o.root
-	c.detach(zr)
+	if r := &csh[zr]; r.par != notIn && zr != croot {
+		unlink(csh, r)
+	}
 	if z == zr {
 		z = none // the roots coincide: nothing to reposition
 	}
-	fs = append(fs, frame{u: zr, v: osh[zr].head, par: none, clk: oclk[zr]})
-outer:
-	for len(fs) > 0 {
-		f := &fs[len(fs)-1]
-		u, v := f.u, f.v
-		uclk := cclk[u]
+	// u is the node whose children are being scanned and uclk its time
+	// in c before the pass; v is the next child of u to examine, and
+	// last the child this pass linked under u most recently.
+	u, uclk, v, last := zr, cclk[zr], osh[zr].head, none
+	for {
 		for v != none {
 			entries++
 			vclk := oclk[v]
 			ov := &osh[v]
 			if cclk[v] < vclk {
-				// v has progressed: unlink it from c (direct
-				// monotonicity covers the skipped case, not this
-				// one).
+				// v has progressed: move it to its place in o.
 				cv := &csh[v]
-				if cv.par != notIn && v != croot {
-					if cv.prv == none {
-						csh[cv.par].head = cv.nxt
-					} else {
-						csh[cv.prv].nxt = cv.nxt
-					}
-					if cv.nxt != none {
-						csh[cv.nxt].prv = cv.prv
-					}
+				if cv.par == notIn {
+					c.nodes++
+				} else if v != croot {
+					unlink(csh, cv)
 				}
 				if v == z {
 					z = none
 				}
-				if ov.head == none {
-					// Leaf: gather immediately, no frame needed.
-					s = append(s, rec{u: v, par: u, clk: vclk, aclk: ov.aclk})
-					v = ov.nxt
+				link(csh, v, u, last, ov.aclk)
+				last = v
+				if ov.head != none {
+					// Descend; v's new time waits for the end
+					// of its child scan.
+					u, uclk, v, last = v, cclk[v], ov.head, none
 					continue
 				}
-				f.v = ov.nxt
-				fs = append(fs, frame{u: v, v: ov.head, par: u, clk: vclk, aclk: ov.aclk})
-				continue outer
+				entries++
+				changed++
+				cclk[v] = vclk
+				v = ov.nxt
+				continue
 			}
 			if v == z {
 				// The old root must move even though it has not
 				// progressed (line 67). It is c's root, so it is
-				// not linked anywhere and needs no detach.
-				s = append(s, rec{u: v, par: u, clk: vclk, aclk: ov.aclk})
+				// not linked anywhere and needs no unlink.
+				link(csh, v, u, last, ov.aclk)
+				last = v
+				entries++
+				if cclk[v] != vclk {
+					changed++
+				}
+				cclk[v] = vclk
 				z = none
 			}
 			if !noBreak && ov.aclk <= uclk {
@@ -230,24 +214,30 @@ outer:
 			}
 			v = ov.nxt
 		}
-		s = append(s, rec{u: u, par: f.par, clk: f.clk, aclk: f.aclk})
-		fs = fs[:len(fs)-1]
+		// u's child scan is over: install its time and climb back to
+		// its parent in o, going on at u's next sibling.
+		entries++
+		if cclk[u] != oclk[u] {
+			changed++
+		}
+		cclk[u] = oclk[u]
+		if u == zr {
+			break
+		}
+		v, last = osh[u].nxt, u
+		u = osh[u].par
+		uclk = cclk[u]
 	}
-	if st != nil {
+	if st := c.stats; st != nil {
 		st.Entries += entries
+		st.Changed += changed
 	}
-	c.frames = fs[:0]
-	return s, z == none
+	return z == none
 }
 
-// detach unlinks thread v from its parent's child list in c. The root
-// is never linked in a list; absent nodes have nothing to unlink.
-func (c *TreeClock) detach(v vt.TID) {
-	csh := c.sh
-	nv := &csh[v]
-	if nv.par == notIn || v == c.root {
-		return
-	}
+// unlink removes the node with shape entry nv from its parent's child
+// list, leaving nv's own links as they were.
+func unlink(csh []shape, nv *shape) {
 	if nv.prv == none {
 		csh[nv.par].head = nv.nxt
 	} else {
@@ -258,61 +248,30 @@ func (c *TreeClock) detach(v vt.TID) {
 	}
 }
 
-// attach pops the gathered records in reverse order (parents before
-// their descendants), installs the new local times, and links each node
-// under the same parent as in o. Because siblings are popped in
-// ascending-aclk order and pushChild prepends, every rebuilt child list
-// ends up in descending-aclk order, and kept children (attached earlier,
-// hence with smaller attachment times — indirect monotonicity's
-// contrapositive) stay correctly behind them.
-func (c *TreeClock) attach(s []rec) {
-	st := c.stats
-	cclk, csh := c.clk, c.sh
-	for i := len(s) - 1; i >= 0; i-- {
-		r := &s[i]
-		u := r.u
-		if st != nil {
-			st.Entries++
-			if cclk[u] != r.clk {
-				st.Changed++
-			}
-		}
-		cclk[u] = r.clk
-		if p := r.par; p != none {
-			// pushChild(u, p) with the shape entry in hand.
-			nu := &csh[u]
-			if nu.par == notIn {
-				c.nodes++
-			}
-			h := csh[p].head
-			nu.aclk = r.aclk
-			nu.par = p
-			nu.nxt = h
-			nu.prv = none
-			if h != none {
-				csh[h].prv = u
-			}
-			csh[p].head = u
-		}
-		// o's own root (par == none) is positioned by the caller:
-		// under c's root for Join, as the new root for MonotoneCopy.
+// link inserts v into p's child list right after prev, or at the front
+// when prev is none, attached at time aclk. v keeps its own children.
+func link(csh []shape, v, p, prev vt.TID, aclk vt.Time) {
+	var next vt.TID
+	if prev == none {
+		next = csh[p].head
+		csh[p].head = v
+	} else {
+		next = csh[prev].nxt
+		csh[prev].nxt = v
 	}
+	if next != none {
+		csh[next].prv = v
+	}
+	nv := &csh[v]
+	nv.aclk, nv.par, nv.nxt, nv.prv = aclk, p, next, prev
 }
 
-// pushChild makes u the first child of p.
-func (c *TreeClock) pushChild(u, p vt.TID) {
-	csh := c.sh
-	if csh[u].par == notIn {
+// pushChild makes u the first child of p, attached at time aclk.
+func (c *TreeClock) pushChild(u, p vt.TID, aclk vt.Time) {
+	if c.sh[u].par == notIn {
 		c.nodes++
 	}
-	h := csh[p].head
-	csh[u].par = p
-	csh[u].nxt = h
-	csh[u].prv = none
-	if h != none {
-		csh[h].prv = u
-	}
-	csh[p].head = u
+	link(c.sh, u, p, none, aclk)
 }
 
 // deepCopyFrom overwrites c with a full structural copy of o in Θ(k).

@@ -8,9 +8,8 @@ import (
 // Save implements vt.Clock: the two arrays of the paper's layout plus
 // the scalars that steer future operations — root, mode, node count
 // and the foreign-entry revision counter (which the weak-order
-// quiet-release fast path reads, so it must survive a restore). The
-// scratch buffers (gather, frames) hold no state between operations
-// and are not saved.
+// quiet-release fast path reads, so it must survive a restore). That
+// is the whole clock: it keeps no scratch between operations.
 func (c *TreeClock) Save(e *ckpt.Enc) {
 	e.Int32(c.k)
 	e.Int32(int32(c.root))
@@ -42,10 +41,17 @@ func loadLink(d *ckpt.Dec, k int32) vt.TID {
 	return vt.TID(t)
 }
 
+// minEntryBytes is the fewest payload bytes one saved entry takes: one
+// varint byte each for its time, attachment time and four links.
+const minEntryBytes = 6
+
 // Load implements vt.Clock, replacing the clock's contents (Init must
-// not have attached anything the caller wants to keep). Link fields
-// are range-checked; structural garbage that survives the checksum
-// yields a wrong clock, never a panic.
+// not have attached anything the caller wants to keep). Nothing in the
+// payload is trusted: the capacity is bounded by the bytes left in the
+// section before anything is allocated, links are range-checked, and
+// the decoded clock must pass Validate. Structural garbage that
+// survives the checksum fails as ErrCorrupt, never as a panic or a
+// traversal that does not end.
 func (c *TreeClock) Load(d *ckpt.Dec) {
 	k := d.Int32()
 	root := d.Int32()
@@ -55,16 +61,12 @@ func (c *TreeClock) Load(d *ckpt.Dec) {
 	if d.Err() != nil {
 		return
 	}
-	if k < 0 || int64(k) > 1<<26 {
-		d.Corruptf("tree clock capacity %d out of range", k)
+	if k < 0 || int64(k)*minEntryBytes > int64(d.Remaining()) {
+		d.Corruptf("tree clock capacity %d out of range for %d payload bytes", k, d.Remaining())
 		return
 	}
 	if root < int32(none) || root >= k {
 		d.Corruptf("tree clock root %d outside [-1, %d)", root, k)
-		return
-	}
-	if nodes < 0 || nodes > k {
-		d.Corruptf("tree clock node count %d outside [0, %d]", nodes, k)
 		return
 	}
 	if mode > ModeDeepCopy {
@@ -88,6 +90,10 @@ func (c *TreeClock) Load(d *ckpt.Dec) {
 	if d.Err() != nil {
 		return
 	}
-	c.k, c.root, c.mode, c.nodes, c.rev = k, vt.TID(root), mode, nodes, rev
-	c.clk, c.sh = clk, sh
+	l := TreeClock{k: k, root: vt.TID(root), mode: mode, nodes: nodes, rev: rev, clk: clk, sh: sh, stats: c.stats}
+	if err := l.Validate(); err != nil {
+		d.Corruptf("tree clock: %v", err)
+		return
+	}
+	*c = l
 }

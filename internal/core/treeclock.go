@@ -85,21 +85,18 @@ type TreeClock struct {
 	k     int32
 	root  vt.TID
 	mode  Mode
-	nodes int32 // threads present in the tree, maintained on attach
+	nodes int32 // threads present in the tree, kept incrementally (NumNodes)
 
 	// Following the paper's implementation note, the clock is "two
 	// arrays of length k": clk holds the integer timestamps exactly
 	// like a vector clock (hot, dense — the entire array spans a
 	// handful of cache lines), and sh encodes the tree shape (touched
-	// only for nodes being repositioned).
+	// only for nodes being repositioned). Join and MonotoneCopy need
+	// nothing else: they walk the source in one pass that keeps no
+	// stack, so steady-state operations allocate nothing and the clock
+	// holds no scratch.
 	clk []vt.Time
 	sh  []shape
-
-	// Scratch buffers reused across operations so that steady-state
-	// joins and copies allocate nothing. Their element types are
-	// defined alongside the traversal in join.go.
-	gather []rec
-	frames []frame
 
 	// rev advances whenever a foreign entry may have changed (see
 	// vt.Clock.Rev). Inc and Grow leave it alone: they never touch a
@@ -281,15 +278,15 @@ func (c *TreeClock) Vector(dst vt.Vector) vt.Vector {
 func (c *TreeClock) VectorView() []vt.Time { return c.clk }
 
 // NumNodes returns how many threads are present in the tree. The count
-// is maintained incrementally as nodes are attached (a node, once
-// present, never leaves the tree), so the call is O(1) — it sits on
-// stats paths that may run per event.
+// is maintained incrementally — attaching an absent node adds one,
+// ReleaseSlot takes one away, and a deep copy takes the source's count
+// — so the call is O(1); it sits on stats paths that may run per event.
 func (c *TreeClock) NumNodes() int { return int(c.nodes) }
 
 // String renders the tree in (tid,clk,aclk) form, pre-order. The walk
-// is iterative with an explicit stack, like every other traversal in
-// this package, so degenerate chain-shaped trees of any depth render
-// without growing the goroutine stack.
+// is iterative, like every other traversal in this package, so
+// degenerate chain-shaped trees of any depth render without growing
+// the goroutine stack.
 func (c *TreeClock) String() string {
 	if c.root == none {
 		return "<empty>"

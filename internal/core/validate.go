@@ -20,14 +20,18 @@ import (
 //     pointers match.
 //  5. Child lists are sorted by non-increasing attachment time, and no
 //     attachment time exceeds the parent's current local time.
-//  6. Absent nodes carry a zero local time (Get must report 0).
+//  6. Absent nodes carry a zero local time (Get must report 0) and no
+//     links, so attaching one never brings stale children along.
 func (c *TreeClock) Validate() error {
 	present := 0
 	for t := int32(0); t < c.k; t++ {
-		if c.sh[t].par != notIn {
+		s := &c.sh[t]
+		if s.par != notIn {
 			present++
 		} else if c.clk[t] != 0 {
 			return fmt.Errorf("absent thread %d has nonzero clk %d", t, c.clk[t])
+		} else if s.head != none || s.nxt != none || s.prv != none {
+			return fmt.Errorf("absent thread %d has links (head %d, nxt %d, prv %d)", t, s.head, s.nxt, s.prv)
 		}
 	}
 	if present != int(c.nodes) {
@@ -59,6 +63,9 @@ func (c *TreeClock) Validate() error {
 		prev := none
 		var prevAclk vt.Time
 		for v := c.sh[u].head; v != none; v = c.sh[v].nxt {
+			if v < 0 {
+				return fmt.Errorf("child list of %d holds link %d", u, v)
+			}
 			if c.sh[v].par == notIn {
 				return fmt.Errorf("absent thread %d linked as child of %d", v, u)
 			}
