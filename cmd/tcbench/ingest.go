@@ -203,7 +203,7 @@ func ingestExperiment(events, repeats int, jsonPath string) {
 					}
 					line := fmt.Sprintf("  %-17s %-5s", label, f.name)
 					for _, mode := range ingestModes {
-						res := measureIngest(tr.Meta.Name, name, weak, f.name, mode, f.bin, f.data, repeats)
+						res := measureIngest(tr, name, weak, f.name, mode, f.bin, f.data, repeats)
 						if first {
 							pairs, first = res.Pairs, false
 						} else if res.Pairs != pairs {
@@ -225,10 +225,11 @@ func ingestExperiment(events, repeats int, jsonPath string) {
 	}
 }
 
-// measureIngest times one cell, reporting the best run and its
+// measureIngest times one cell of tr, reporting the best run and its
 // allocation count per event (via runtime.MemStats deltas; the GC's
-// own allocations make the figure an upper bound).
-func measureIngest(traceName, engine, weak, format, mode string, bin bool, data []byte, repeats int) ingestResult {
+// own allocations make the figure an upper bound). A run that streams
+// a different number of events than tr holds exits 1.
+func measureIngest(tr *trace.Trace, engine, weak, format, mode string, bin bool, data []byte, repeats int) ingestResult {
 	var (
 		best   time.Duration = -1
 		allocs float64
@@ -245,6 +246,10 @@ func measureIngest(traceName, engine, weak, format, mode string, bin bool, data 
 			fmt.Fprintf(os.Stderr, "tcbench: %s/%s/%s: %v\n", engine, format, mode, err)
 			os.Exit(1)
 		}
+		if r.Events != uint64(tr.Len()) {
+			fmt.Fprintf(os.Stderr, "tcbench: %s/%s/%s: streamed %d events, want %d\n", engine, format, mode, r.Events, tr.Len())
+			os.Exit(1)
+		}
 		if best < 0 || el < best {
 			best = el
 			allocs = float64(after.Mallocs - before.Mallocs)
@@ -255,10 +260,10 @@ func measureIngest(traceName, engine, weak, format, mode string, bin bool, data 
 	if n == 0 {
 		// A degenerate workload (tiny -stream-events) must not poison
 		// the report with Inf/NaN, which JSON cannot encode.
-		return ingestResult{Trace: traceName, Engine: engine, Format: format, Mode: mode, Weak: weak}
+		return ingestResult{Trace: tr.Meta.Name, Engine: engine, Format: format, Mode: mode, Weak: weak}
 	}
 	return ingestResult{
-		Trace:          traceName,
+		Trace:          tr.Meta.Name,
 		Engine:         engine,
 		Format:         format,
 		Mode:           mode,

@@ -13,7 +13,6 @@
 //	tcrace -workers 0 big.txt             # shard across GOMAXPROCS cores
 //	tcrace -pipeline 4 big.txt            # decode in a separate goroutine
 //	tcrace -progress 5000000 huge.txt     # rate reports to stderr
-//	tcrace -algo shb -clock vc < t.txt    # legacy flag spelling
 //	tcrace -checkpoint run.ckpt huge.txt  # crash-safe: periodic checkpoints
 //	tcrace -resume run.ckpt huge.txt      # continue an interrupted run
 //	tcrace -reclaim-slots churny.txt      # bounded clocks under thread churn
@@ -138,9 +137,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tcrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		engineFlag   = fs.String("engine", "", "registry engine name (see -list); overrides -algo/-clock")
-		algo         = fs.String("algo", "hb", "partial order: hb, shb, maz or wcp")
-		clock        = fs.String("clock", "tc", "clock data structure: tc (tree clock) or vc (vector clock)")
+		engine       = fs.String("engine", "hb-tree", "registry engine name (see -list)")
 		format       = fs.String("format", "text", "trace format: text or bin")
 		work         = fs.Bool("work", false, "also report data-structure work counters")
 		samples      = fs.Int("samples", 10, "sample races to print")
@@ -185,20 +182,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *remote == "" && (*session != "" || *resumeSess) {
 		fmt.Fprintf(stderr, "tcrace: -session and -resume-session require -remote\n")
 		return exitUsage
-	}
-
-	name := *engineFlag
-	if name == "" {
-		suffix := "-tree"
-		switch *clock {
-		case "tc", "tree":
-		case "vc":
-			suffix = "-vc"
-		default:
-			fmt.Fprintf(stderr, "tcrace: unknown clock %q\n", *clock)
-			return exitUsage
-		}
-		name = *algo + suffix
 	}
 
 	in := stdin
@@ -251,7 +234,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		r := &remoteRun{
 			addr:       *remote,
 			sessionID:  id,
-			engine:     name,
+			engine:     *engine,
 			binary:     *format == "bin",
 			validate:   !*noValidate,
 			workers:    nworkers,
@@ -319,7 +302,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	res, err := treeclock.RunStream(name, in, opts...)
+	res, err := treeclock.RunStream(*engine, in, opts...)
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(stderr, "tcrace: %v\n", err)

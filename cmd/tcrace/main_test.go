@@ -73,11 +73,6 @@ func TestExitCodes(t *testing.T) {
 			t.Fatalf("unknown engine: exit %d, want %d", code, exitUsage)
 		}
 	})
-	t.Run("unknown clock", func(t *testing.T) {
-		if code, _, _ := runCmd(t, cleanTrace, "-clock", "sundial"); code != exitUsage {
-			t.Fatalf("unknown clock: exit %d, want %d", code, exitUsage)
-		}
-	})
 	t.Run("unknown format", func(t *testing.T) {
 		if code, _, _ := runCmd(t, cleanTrace, "-format", "xml"); code != exitUsage {
 			t.Fatalf("unknown format: exit %d, want %d", code, exitUsage)

@@ -5,7 +5,7 @@
 //
 //	tracegen -pattern mixed -threads 8 -locks 4 -vars 64 -events 100000 > trace.txt
 //	tracegen -pattern star -threads 32 -events 500000 -format bin -o star.tr
-//	tracegen -pattern pairwise -threads 16 -seed 7 | tcrace -algo shb
+//	tracegen -pattern pairwise -threads 16 -seed 7 | tcrace -engine shb-tree
 //
 // Patterns: mixed, single-lock, fifty-locks, star, pairwise,
 // producer-consumer, pipeline, barrier, readers-writers,

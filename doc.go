@@ -373,11 +373,11 @@
 //     default; WCP reports predictive races — a superset of the HB
 //     races — through the same machinery.
 //   - Workload generators (GenerateMixed, scenario generators) and the
-//     experiment harness behind cmd/tcbench, which regenerates every
-//     table and figure of the paper through the same registry and
-//     compares reader-fed streaming with in-memory replay (-experiment
-//     stream). The ROADMAP's Performance section records measured
-//     numbers; benchmark/README.md describes the per-layer benchmark.
+//     experiment harness behind cmd/tcbench, the one implementation of
+//     every table and figure of the paper, run through the same
+//     registry. The ROADMAP's Performance section records measured
+//     numbers; benchmark/README.md describes the per-layer benchmark,
+//     which times reader-fed streaming.
 //
 // # Quickstart
 //

@@ -145,11 +145,6 @@ func TestFigureReports(t *testing.T) {
 			t.Errorf("Figure10 missing scenario %q", sc)
 		}
 	}
-	buf.Reset()
-	h.Ablation(&buf)
-	if !strings.Contains(buf.String(), "no-indirect-break") {
-		t.Errorf("Ablation output:\n%s", buf.String())
-	}
 }
 
 func TestFigure6And7Reports(t *testing.T) {

@@ -6,14 +6,9 @@ import (
 	"sort"
 	"strings"
 	"text/tabwriter"
-	"time"
 
-	"treeclock/internal/core"
 	"treeclock/internal/gen"
-	"treeclock/internal/stats"
 	"treeclock/internal/trace"
-	"treeclock/internal/vc"
-	"treeclock/internal/vt"
 )
 
 // Options parameterizes the experiment reports.
@@ -89,9 +84,9 @@ func (h *Harness) Table1(w io.Writer) {
 	fmt.Fprintln(tw, "\tMin\tMax\tMean")
 	row := func(name string, xs []float64, intLike bool) {
 		if intLike {
-			fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%.0f\n", name, stats.Min(xs), stats.Max(xs), stats.Mean(xs))
+			fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%.0f\n", name, minOf(xs), maxOf(xs), mean(xs))
 		} else {
-			fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\n", name, stats.Min(xs), stats.Max(xs), stats.Mean(xs))
+			fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\n", name, minOf(xs), maxOf(xs), mean(xs))
 		}
 	}
 	row("Threads", threads, true)
@@ -141,9 +136,9 @@ func (h *Harness) Table2(w io.Writer) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\tMAZ\tSHB\tHB")
 	fmt.Fprintf(tw, "PO\t%.2f\t%.2f\t%.2f\n",
-		stats.Mean(speedup["maz"]), stats.Mean(speedup["shb"]), stats.Mean(speedup["hb"]))
+		mean(speedup["maz"]), mean(speedup["shb"]), mean(speedup["hb"]))
 	fmt.Fprintf(tw, "PO + Analysis\t%.2f\t%.2f\t%.2f\n",
-		stats.Mean(speedupA["maz"]), stats.Mean(speedupA["shb"]), stats.Mean(speedupA["hb"]))
+		mean(speedupA["maz"]), mean(speedupA["shb"]), mean(speedupA["hb"]))
 	tw.Flush()
 	fmt.Fprintln(w, "(paper: PO 2.02 / 2.66 / 2.97; PO+Analysis 1.49 / 1.80 / 1.11)")
 }
@@ -244,20 +239,20 @@ func (h *Harness) Figure9(w io.Writer) {
 			vcr := Run(tr, Config{Engine: o + "-vc", Work: true})
 			ratios = append(ratios, float64(vcr.Work.Entries)/float64(tc.Work.Entries))
 		}
-		hist := stats.NewHistogram(bounds, ratios)
+		hist := newHistogram(bounds, ratios)
 		maxCount := 0
-		for _, c := range hist.Counts {
+		for _, c := range hist.counts {
 			if c > maxCount {
 				maxCount = c
 			}
 		}
 		fmt.Fprintf(w, "Figure 9 (%s): histogram of VCWork/TCWork across the suite\n", strings.ToUpper(o))
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		for i, c := range hist.Counts {
-			fmt.Fprintf(tw, "%s\t%d\t%s\n", hist.BucketLabel(i), c, stats.Bar(c, maxCount, 40))
+		for i, c := range hist.counts {
+			fmt.Fprintf(tw, "%s\t%d\t%s\n", hist.bucketLabel(i), c, bar(c, maxCount, 40))
 		}
 		tw.Flush()
-		fmt.Fprintf(w, "mean ratio %.1f, max %.1f\n\n", stats.Mean(ratios), stats.Max(ratios))
+		fmt.Fprintf(w, "mean ratio %.1f, max %.1f\n\n", mean(ratios), maxOf(ratios))
 	}
 }
 
@@ -278,47 +273,4 @@ func (h *Harness) Figure10(w io.Writer) {
 		tw.Flush()
 		fmt.Fprintln(w)
 	}
-}
-
-// Ablation quantifies the contribution of each tree-clock idea on the
-// star and mixed workloads: the full algorithm, joins without the
-// indirect-monotonicity break, and copies done deeply (no monotone
-// copy). This study is an extension beyond the paper.
-func (h *Harness) Ablation(w io.Writer) {
-	workloads := []*trace.Trace{
-		gen.Star(64, h.Opts.Fig10Events, 1),
-		gen.SingleLock(64, h.Opts.Fig10Events, 2),
-		gen.Mixed(gen.Config{Name: "mixed-k32", Threads: 32, Locks: 16, Vars: 2048,
-			Events: h.Opts.Fig10Events, Seed: 3, SyncFrac: 0.3}),
-	}
-	tree := func(mode core.Mode) func(*trace.Trace, *vt.WorkStats) time.Duration {
-		return func(tr *trace.Trace, st *vt.WorkStats) time.Duration {
-			return TimeHB(tr, core.FactoryMode(st, mode))
-		}
-	}
-	variants := []struct {
-		name string
-		run  func(*trace.Trace, *vt.WorkStats) time.Duration
-	}{
-		{"TC (full)", tree(core.ModeFull)},
-		{"TC no-indirect-break", tree(core.ModeNoIndirectBreak)},
-		{"TC deep-copy", tree(core.ModeDeepCopy)},
-		{"VC", func(tr *trace.Trace, st *vt.WorkStats) time.Duration { return TimeHB(tr, vc.Factory(st)) }},
-	}
-	fmt.Fprintln(w, "Ablation: contribution of each tree-clock mechanism (HB)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Workload\tVariant\tTime (s)\tEntries touched")
-	for _, tr := range workloads {
-		for _, v := range variants {
-			var st vt.WorkStats
-			v.run(tr, &st)
-			var total time.Duration
-			for i := 0; i < h.Opts.Repeats; i++ {
-				total += v.run(tr, nil)
-			}
-			mean := total / time.Duration(h.Opts.Repeats)
-			fmt.Fprintf(tw, "%s\t%s\t%.4f\t%d\n", tr.Meta.Name, v.name, mean.Seconds(), st.Entries)
-		}
-	}
-	tw.Flush()
 }

@@ -2,8 +2,9 @@
 // (treeclock.RunStreamSource over an in-memory trace replay — the same
 // path every streaming caller takes) over generated workloads with both
 // clock data structures, measures wall-clock time and data-structure
-// work, and formats the paper's Tables 1–3 and Figures 6–10 (plus an
-// ablation study) as text reports.
+// work, and formats the paper's Tables 1–3 and Figures 6–10 as text
+// reports. It is the only implementation of each of them; cmd/tcbench
+// runs it.
 package bench
 
 import (
@@ -11,8 +12,6 @@ import (
 	"time"
 
 	"treeclock"
-	"treeclock/internal/engine"
-	"treeclock/internal/hb"
 	"treeclock/internal/trace"
 	"treeclock/internal/vt"
 )
@@ -90,16 +89,4 @@ func RunMean(tr *trace.Trace, cfg Config, repeats int) Result {
 	}
 	res.Elapsed = total / time.Duration(repeats)
 	return res
-}
-
-// TimeHB times the happens-before order over tr on clocks built by f.
-// It is the ablation's engine path: the tree-clock ablation modes
-// (core.FactoryMode) live below the registry, which builds only the
-// full algorithm, so every ablation row — each mode and the vector
-// clock — runs through this one helper.
-func TimeHB[C vt.Clock[C]](tr *trace.Trace, f vt.Factory[C]) time.Duration {
-	rt := engine.New[C](hb.NewSemantics[C](), f)
-	start := time.Now()
-	rt.Process(tr.Events)
-	return time.Since(start)
 }

@@ -25,14 +25,12 @@ func (c *fuzzChoices) Intn(n int) int {
 const maxFuzzCap = 16
 
 // mix rebuilds the model's still-fresh clocks at input-chosen
-// capacities — thread t's from t+1 to k, the others from 0 to k — all
-// in one ablation mode. Clocks grow on demand, so the protocol and the
-// mirrors are unchanged.
-func (m *hbModel) mix(mode Mode) {
+// capacities — thread t's from t+1 to k, the others from 0 to k.
+// Clocks grow on demand, so the protocol and the mirrors are
+// unchanged.
+func (m *hbModel) mix() {
 	fresh := func(min int) *TreeClock {
-		c := New(min+m.r.Intn(m.k-min+1), m.stats)
-		c.mode = mode
-		return c
+		return New(min+m.r.Intn(m.k-min+1), m.stats)
 	}
 	for i := range m.threads {
 		m.threads[i] = fresh(i + 1)
@@ -108,25 +106,24 @@ func (m *hbModel) reuseStep(i int) {
 // FuzzTreeClockProtocol drives the HB and SHB protocols from fuzz
 // bytes — Join, MonotoneCopy, CopyCheckMonotone, Grow and the
 // slot-reuse ReleaseSlot sequence — over up to 16 clocks of mixed
-// capacity, in every Mode, checking each operation against the
-// vt.Vector mirrors and Validate. The first bytes pick the mode, the
-// thread, lock and variable counts and the starting capacities; each
-// later operation consumes one byte for its kind plus its own choices.
+// capacity, checking each operation against the vt.Vector mirrors and
+// Validate. The first bytes pick the thread, lock and variable counts
+// and the starting capacities; each later operation consumes one byte
+// for its kind plus its own choices.
 func FuzzTreeClockProtocol(f *testing.F) {
-	f.Add([]byte{0, 3, 1, 2, 0, 1, 2, 3})
-	f.Add([]byte("\x00\x07\x03\x03tree clocks join and copy under the hb and shb protocols"))
-	f.Add([]byte("\x01\x05\x02\x01\x03\x03\x03\x00\x01\x02\x03\x00\x01\x02\x03\x03\x00"))
-	f.Add([]byte("\x02\x06\x01\x04\x01\x01\x01\x01\x02\x02\x02\x02\x00\x00\x00\x00\x03\x03"))
+	f.Add([]byte{3, 1, 2, 0, 1, 2, 3})
+	f.Add([]byte("\x07\x03\x03tree clocks join and copy under the hb and shb protocols"))
+	f.Add([]byte("\x05\x02\x01\x03\x03\x03\x00\x01\x02\x03\x00\x01\x02\x03\x03\x00"))
+	f.Add([]byte("\x06\x01\x04\x01\x01\x01\x01\x02\x02\x02\x02\x00\x00\x00\x00\x03\x03"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzChoices{data: data}
-		mode := Mode(in.Intn(3))
 		k := 1 + in.Intn(8)  // threads
 		l := 1 + in.Intn(4)  // locks
 		nv := 1 + in.Intn(4) // variables; k + l + nv <= 16
 		var st vt.WorkStats
 		m := newHBModel(t, in, k, l, &st)
 		m.addVars(nv)
-		m.mix(mode)
+		m.mix()
 		for i := 0; len(in.data) > 0; i++ {
 			switch in.Intn(4) {
 			case 0:

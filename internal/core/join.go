@@ -87,10 +87,6 @@ func (c *TreeClock) MonotoneCopy(o *TreeClock) {
 		c.deepCopyFrom(o)
 		return
 	}
-	if c.mode == ModeDeepCopy {
-		c.deepCopyFrom(o)
-		return
-	}
 	c.Grow(int(o.k))
 	if c.stats != nil {
 		c.stats.Copies++
@@ -146,7 +142,6 @@ func (c *TreeClock) CopyCheckMonotone(o *TreeClock) bool {
 // 67); Join passes z == none. The result reports whether z was moved
 // (always true for Join).
 func (c *TreeClock) update(o *TreeClock, z vt.TID) bool {
-	noBreak := c.mode == ModeNoIndirectBreak
 	cclk, csh := c.clk, c.sh
 	oclk, osh := o.clk, o.sh
 	var entries, changed uint64
@@ -206,7 +201,7 @@ func (c *TreeClock) update(o *TreeClock, z vt.TID) bool {
 				cclk[v] = vclk
 				z = none
 			}
-			if !noBreak && ov.aclk <= uclk {
+			if ov.aclk <= uclk {
 				// c already knows u at v's attachment time, so it
 				// knows every later sibling too (indirect
 				// monotonicity): stop scanning.

@@ -136,28 +136,6 @@ func TestModelHBProtocol(t *testing.T) {
 	}
 }
 
-// TestModelHBProtocolAblations runs the same model under the ablation
-// modes: disabling a pruning rule must never change the represented
-// vector times, only the work performed.
-func TestModelHBProtocolAblations(t *testing.T) {
-	for _, mode := range []Mode{ModeNoIndirectBreak, ModeDeepCopy} {
-		mode := mode
-		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
-			r := rand.New(rand.NewSource(99))
-			m := newHBModel(t, r, 6, 3, nil)
-			for _, c := range m.threads {
-				c.mode = mode
-			}
-			for _, c := range m.locks {
-				c.mode = mode
-			}
-			for i := 0; i < 2000; i++ {
-				m.step(i)
-			}
-		})
-	}
-}
-
 // shbStep performs one random access under the SHB protocol and
 // cross-checks the touched clock; it reports whether a write took the
 // deep-copy fallback.

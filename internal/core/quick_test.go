@@ -16,14 +16,13 @@ import (
 // l locks and nv variables, mirroring every tree clock with a plain
 // vector. It reports false on the first divergence or structural
 // violation.
-func protocolRun(seed int64, k, l, nv, steps int, mode Mode) bool {
+func protocolRun(seed int64, k, l, nv, steps int) bool {
 	r := rand.New(rand.NewSource(seed))
 	threads := make([]*TreeClock, k)
 	mThr := make([]vt.Vector, k)
 	var st vt.WorkStats
 	for i := range threads {
 		threads[i] = New(k, &st)
-		threads[i].mode = mode
 		threads[i].Init(vt.TID(i))
 		mThr[i] = vt.NewVector(k)
 	}
@@ -32,7 +31,6 @@ func protocolRun(seed int64, k, l, nv, steps int, mode Mode) bool {
 	holder := make([]int, l)
 	for i := range locks {
 		locks[i] = New(k, &st)
-		locks[i].mode = mode
 		mLck[i] = vt.NewVector(k)
 		holder[i] = -1
 	}
@@ -40,7 +38,6 @@ func protocolRun(seed int64, k, l, nv, steps int, mode Mode) bool {
 	mLW := make([]vt.Vector, nv)
 	for i := range lw {
 		lw[i] = New(k, &st)
-		lw[i].mode = mode
 		mLW[i] = vt.NewVector(k)
 	}
 	held := make(map[int]int) // lock -> holding thread
@@ -105,24 +102,10 @@ func TestQuickProtocolEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		k := 2 + r.Intn(9)
-		return protocolRun(seed, k, 1+r.Intn(4), 1+r.Intn(4), 400, ModeFull)
+		return protocolRun(seed, k, 1+r.Intn(4), 1+r.Intn(4), 400)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuickProtocolEquivalenceAblations(t *testing.T) {
-	for _, mode := range []Mode{ModeNoIndirectBreak, ModeDeepCopy} {
-		mode := mode
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed ^ int64(mode)))
-			k := 2 + r.Intn(7)
-			return protocolRun(seed, k, 1+r.Intn(3), 1+r.Intn(3), 300, mode)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-			t.Errorf("mode %d: %v", mode, err)
-		}
 	}
 }
 

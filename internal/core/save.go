@@ -6,14 +6,16 @@ import (
 )
 
 // Save implements vt.Clock: the two arrays of the paper's layout plus
-// the scalars that steer future operations — root, mode, node count
-// and the foreign-entry revision counter (which the weak-order
-// quiet-release fast path reads, so it must survive a restore). That
-// is the whole clock: it keeps no scratch between operations.
+// the scalars that steer future operations — root, node count and the
+// foreign-entry revision counter (which the weak-order quiet-release
+// fast path reads, so it must survive a restore). That is the whole
+// clock: it keeps no scratch between operations. A zero byte after the
+// root keeps the place of the retired ablation mode, so the checkpoint
+// format (v2) is unchanged.
 func (c *TreeClock) Save(e *ckpt.Enc) {
 	e.Int32(c.k)
 	e.Int32(int32(c.root))
-	e.U8(uint8(c.mode))
+	e.U8(0) // retired mode byte
 	e.Int32(c.nodes)
 	e.U64(c.rev)
 	for i := 0; i < int(c.k); i++ {
@@ -48,14 +50,14 @@ const minEntryBytes = 6
 // Load implements vt.Clock, replacing the clock's contents (Init must
 // not have attached anything the caller wants to keep). Nothing in the
 // payload is trusted: the capacity is bounded by the bytes left in the
-// section before anything is allocated, links are range-checked, and
-// the decoded clock must pass Validate. Structural garbage that
-// survives the checksum fails as ErrCorrupt, never as a panic or a
-// traversal that does not end.
+// section before anything is allocated, links are range-checked, the
+// retired mode byte must be 0, and the decoded clock must pass
+// Validate. Structural garbage that survives the checksum fails as
+// ErrCorrupt, never as a panic or a traversal that does not end.
 func (c *TreeClock) Load(d *ckpt.Dec) {
 	k := d.Int32()
 	root := d.Int32()
-	mode := Mode(d.U8())
+	mode := d.U8()
 	nodes := d.Int32()
 	rev := d.U64()
 	if d.Err() != nil {
@@ -69,8 +71,8 @@ func (c *TreeClock) Load(d *ckpt.Dec) {
 		d.Corruptf("tree clock root %d outside [-1, %d)", root, k)
 		return
 	}
-	if mode > ModeDeepCopy {
-		d.Corruptf("tree clock mode %d unknown", mode)
+	if mode != 0 {
+		d.Corruptf("tree clock mode byte %d, want 0", mode)
 		return
 	}
 	clk := make([]vt.Time, k)
@@ -90,7 +92,7 @@ func (c *TreeClock) Load(d *ckpt.Dec) {
 	if d.Err() != nil {
 		return
 	}
-	l := TreeClock{k: k, root: vt.TID(root), mode: mode, nodes: nodes, rev: rev, clk: clk, sh: sh, stats: c.stats}
+	l := TreeClock{k: k, root: vt.TID(root), nodes: nodes, rev: rev, clk: clk, sh: sh, stats: c.stats}
 	if err := l.Validate(); err != nil {
 		d.Corruptf("tree clock: %v", err)
 		return

@@ -64,7 +64,7 @@ func TestLoadBoundsCapacityByPayload(t *testing.T) {
 	e.Begin("clock")
 	e.Int32(1 << 20) // k
 	e.Int32(-1)      // root
-	e.U8(0)          // mode
+	e.U8(0)          // retired mode byte
 	e.Int32(0)       // nodes
 	e.U64(0)         // rev
 	e.End()
@@ -83,7 +83,7 @@ func TestLoadBoundsCapacityByPayload(t *testing.T) {
 // choicesOf returns the fuzz input from which FuzzTreeClockLoad encodes
 // exactly c (whose times and attachment times must be below 8).
 func choicesOf(c *TreeClock) []byte {
-	b := []byte{byte(c.k), byte(c.root + 1), byte(c.mode), byte(c.nodes), byte(c.rev)}
+	b := []byte{byte(c.k), byte(c.root + 1), 0, byte(c.nodes), byte(c.rev)}
 	for _, t := range c.clk {
 		b = append(b, byte(t))
 	}
@@ -94,12 +94,13 @@ func choicesOf(c *TreeClock) []byte {
 }
 
 // FuzzTreeClockLoad encodes fuzz-chosen fields into a CRC-valid
-// section: a capacity up to 16, the root, mode, node count and
-// revision, and every entry's times and links, each link anywhere in
-// [-2, k). A mutated checkpoint fails its CRC before it reaches Load's
-// own checks; this input reaches them. Load must not panic, and a
-// clock it accepts must pass Validate, save back to the same bytes and
-// join into a fresh thread clock in a pass that ends.
+// section: a capacity up to 16, the root, the retired mode byte, node
+// count and revision, and every entry's times and links, each link
+// anywhere in [-2, k). A mutated checkpoint fails its CRC before it
+// reaches Load's own checks; this input reaches them. Load must not
+// panic and must reject every mode byte but 0, and a clock it accepts
+// must pass Validate, save back to the same bytes and join into a
+// fresh thread clock in a pass that ends.
 func FuzzTreeClockLoad(f *testing.F) {
 	deep := New(4, nil)
 	deep.Init(3)
@@ -108,6 +109,9 @@ func FuzzTreeClockLoad(f *testing.F) {
 	for _, c := range []*TreeClock{New(0, nil), New(2, nil), joinedClock(), deep} {
 		f.Add(choicesOf(c))
 	}
+	moded := choicesOf(joinedClock())
+	moded[2] = 1 // a nonzero mode byte on an otherwise valid clock
+	f.Add(moded)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzChoices{data: data}
 		k := in.Intn(maxFuzzCap + 1)
@@ -116,9 +120,10 @@ func FuzzTreeClockLoad(f *testing.F) {
 		e.Begin("clock")
 		e.Int32(int32(k))
 		e.Int32(int32(in.Intn(k+1)) - 1) // root
-		e.U8(uint8(in.Intn(4)))          // mode, one past the last
-		e.Int32(int32(in.Intn(k + 1)))   // nodes
-		e.U64(uint64(in.Intn(256)))      // rev
+		mode := uint8(in.Intn(256))
+		e.U8(mode)
+		e.Int32(int32(in.Intn(k + 1))) // nodes
+		e.U64(uint64(in.Intn(256)))    // rev
 		for i := 0; i < k; i++ {
 			e.Svarint(int64(in.Intn(8))) // clk
 		}
@@ -130,6 +135,9 @@ func FuzzTreeClockLoad(f *testing.F) {
 		}
 		e.End()
 		c, err := loadSection(buf.Bytes())
+		if err == nil && mode != 0 {
+			t.Fatalf("Load accepted mode byte %d", mode)
+		}
 		if err != nil {
 			if !errors.Is(err, ckpt.ErrCorrupt) {
 				t.Fatalf("Load failed without ErrCorrupt: %v", err)

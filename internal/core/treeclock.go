@@ -33,6 +33,12 @@
 // Growth never changes the represented vector time, so engines can
 // discover threads mid-trace (the streaming runtime in internal/engine
 // relies on this) without invalidating any clock state.
+//
+// # Checkpoints
+//
+// Save and Load (save.go) carry a clock in checkpoint format v2. Both
+// pruning rules above are always on, so the format's per-clock mode
+// byte is retired: Save writes 0 and Load rejects any other value.
 package core
 
 import (
@@ -45,23 +51,6 @@ import (
 const (
 	none  vt.TID = -1 // absent link / root parent
 	notIn vt.TID = -2 // thread not yet present in the tree
-)
-
-// Mode selects an ablation variant of the data structure. The default
-// (ModeFull) is the paper's algorithm; the other modes disable one of
-// the two pruning ideas and exist only for the ablation benchmarks.
-type Mode uint8
-
-const (
-	// ModeFull is the complete algorithm of the paper.
-	ModeFull Mode = iota
-	// ModeNoIndirectBreak disables the sibling early-break (indirect
-	// monotonicity): joins and copies still skip unprogressed subtrees
-	// but scan every sibling list to the end.
-	ModeNoIndirectBreak
-	// ModeDeepCopy replaces MonotoneCopy with a full O(k) structural
-	// copy, isolating the benefit of the monotone copy optimization.
-	ModeDeepCopy
 )
 
 // shape is the tree-shape half of one entry: attachment time and the
@@ -84,7 +73,6 @@ type shape struct {
 type TreeClock struct {
 	k     int32
 	root  vt.TID
-	mode  Mode
 	nodes int32 // threads present in the tree, kept incrementally (NumNodes)
 
 	// Following the paper's implementation note, the clock is "two
@@ -136,15 +124,6 @@ func New(k int, stats *vt.WorkStats) *TreeClock {
 // sharing stats (which may be nil).
 func Factory(stats *vt.WorkStats) vt.Factory[*TreeClock] {
 	return func(k int) *TreeClock { return New(k, stats) }
-}
-
-// FactoryMode is Factory with an explicit ablation mode.
-func FactoryMode(stats *vt.WorkStats, m Mode) vt.Factory[*TreeClock] {
-	return func(k int) *TreeClock {
-		c := New(k, stats)
-		c.mode = m
-		return c
-	}
 }
 
 // K returns the current thread capacity.

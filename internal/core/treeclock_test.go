@@ -263,37 +263,32 @@ func TestFigure2bIndirectMonotonicity(t *testing.T) {
 	}
 }
 
-// TestIndirectBreakSavesWork verifies that the e7 join of Figure 2b
+// TestIndirectBreakSavesWork verifies that the e7 sync of Figure 2b
 // stops at the first already-known sibling: with work counters on, the
-// join must compare strictly fewer entries than the no-break ablation.
+// sync (increment, join and monotone copy) touches exactly 7 entries.
+// Scanning each sibling list to the end instead touches 8, so the pin
+// catches a lost break.
 func TestIndirectBreakSavesWork(t *testing.T) {
-	run := func(mode Mode) uint64 {
-		var st vt.WorkStats
-		threads := make([]*TreeClock, 4)
-		locks := make([]*TreeClock, 3)
-		for i := range threads {
-			threads[i] = New(4, &st)
-			threads[i].mode = mode
-			threads[i].Init(vt.TID(i))
-		}
-		for i := range locks {
-			locks[i] = New(4, &st)
-			locks[i].mode = mode
-		}
-		sync(threads, locks, 0, 0)
-		sync(threads, locks, 2, 0)
-		sync(threads, locks, 1, 1)
-		sync(threads, locks, 2, 1)
-		sync(threads, locks, 3, 1)
-		sync(threads, locks, 2, 2)
-		st.Reset() // isolate e7
-		sync(threads, locks, 3, 2)
-		return st.Entries
+	var st vt.WorkStats
+	threads := make([]*TreeClock, 4)
+	locks := make([]*TreeClock, 3)
+	for i := range threads {
+		threads[i] = New(4, &st)
+		threads[i].Init(vt.TID(i))
 	}
-	full := run(ModeFull)
-	noBreak := run(ModeNoIndirectBreak)
-	if full >= noBreak {
-		t.Errorf("full mode compared %d entries, no-break %d: break saved nothing", full, noBreak)
+	for i := range locks {
+		locks[i] = New(4, &st)
+	}
+	sync(threads, locks, 0, 0)
+	sync(threads, locks, 2, 0)
+	sync(threads, locks, 1, 1)
+	sync(threads, locks, 2, 1)
+	sync(threads, locks, 3, 1)
+	sync(threads, locks, 2, 2)
+	st.Reset() // isolate e7
+	sync(threads, locks, 3, 2)
+	if st.Entries != 7 {
+		t.Errorf("e7 touched %d entries, want 7 (8 means the sibling break did not fire)", st.Entries)
 	}
 }
 

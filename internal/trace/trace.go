@@ -133,73 +133,31 @@ func (tr *Trace) LocalTimes() []vt.Time {
 }
 
 // Validate checks trace well-formedness and returns a descriptive error
-// for the first violation:
-//   - identifiers within the Meta ranges;
-//   - lock semantics: a lock is acquired only when free (non-reentrant,
-//     as in §2.1) and released only by its holder;
-//   - fork/join sanity: a forked thread has no earlier events, a thread
-//     is forked at most once, joined threads perform no later events,
-//     and a thread never forks/joins itself.
+// for the first violation: identifiers within the Meta ranges, then the
+// streaming Validator's lock and fork/join discipline rules.
 func (tr *Trace) Validate() error {
-	holder := make([]vt.TID, tr.Meta.Locks)
-	for i := range holder {
-		holder[i] = vt.None
-	}
-	started := make([]bool, tr.Meta.Threads) // performed an event or was forked
-	forked := make([]bool, tr.Meta.Threads)
-	joined := make([]bool, tr.Meta.Threads)
+	var v Validator
 	for i, e := range tr.Events {
 		if e.T < 0 || int(e.T) >= tr.Meta.Threads {
 			return fmt.Errorf("event %d (%v): thread out of range [0,%d)", i, e, tr.Meta.Threads)
 		}
-		if e.Kind >= numKinds {
-			return fmt.Errorf("event %d: invalid kind %d", i, e.Kind)
-		}
-		if joined[e.T] {
-			return fmt.Errorf("event %d (%v): thread %d acts after being joined", i, e, e.T)
-		}
-		started[e.T] = true
 		switch e.Kind {
 		case Read, Write:
 			if e.Obj < 0 || int(e.Obj) >= tr.Meta.Vars {
 				return fmt.Errorf("event %d (%v): variable out of range [0,%d)", i, e, tr.Meta.Vars)
 			}
-		case Acquire:
+		case Acquire, Release:
 			if e.Obj < 0 || int(e.Obj) >= tr.Meta.Locks {
 				return fmt.Errorf("event %d (%v): lock out of range [0,%d)", i, e, tr.Meta.Locks)
 			}
-			if holder[e.Obj] != vt.None {
-				return fmt.Errorf("event %d (%v): lock %d already held by thread %d", i, e, e.Obj, holder[e.Obj])
-			}
-			holder[e.Obj] = e.T
-		case Release:
-			if e.Obj < 0 || int(e.Obj) >= tr.Meta.Locks {
-				return fmt.Errorf("event %d (%v): lock out of range [0,%d)", i, e, tr.Meta.Locks)
-			}
-			if holder[e.Obj] != e.T {
-				return fmt.Errorf("event %d (%v): lock %d not held by thread %d", i, e, e.Obj, e.T)
-			}
-			holder[e.Obj] = vt.None
 		case Fork, Join:
-			u := vt.TID(e.Obj)
-			if u < 0 || int(u) >= tr.Meta.Threads {
+			if e.Obj < 0 || int(e.Obj) >= tr.Meta.Threads {
 				return fmt.Errorf("event %d (%v): thread operand out of range [0,%d)", i, e, tr.Meta.Threads)
 			}
-			if u == e.T {
-				return fmt.Errorf("event %d (%v): thread %s itself", i, e, e.Kind)
-			}
-			if e.Kind == Fork {
-				if started[u] {
-					return fmt.Errorf("event %d (%v): forked thread %d already active", i, e, u)
-				}
-				if forked[u] {
-					return fmt.Errorf("event %d (%v): thread %d forked twice", i, e, u)
-				}
-				forked[u] = true
-				started[u] = true
-			} else {
-				joined[u] = true
-			}
+		}
+		v.idx = uint64(i)
+		if err := v.check(e); err != nil {
+			return err
 		}
 	}
 	return nil
