@@ -65,10 +65,11 @@ func checkGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestCancelStream covers WithContext across the three driver shapes:
-// the sequential loop, the pipelined decoder, and the sharded parallel
-// runtime. Each run must stop shortly after cancellation, return the
-// partial result alongside ctx.Err(), and leave no goroutines behind.
+// TestCancelStream covers WithContext over the session's one driver
+// loop in each source and replica shape: a synchronous decoder into
+// one replica, the pipelined decoder, and the sharded worker group.
+// Each run must stop shortly after cancellation, return the partial
+// result alongside ctx.Err(), and leave no goroutines behind.
 func TestCancelStream(t *testing.T) {
 	const pairs = 30_000
 	const total = 2 * pairs
@@ -105,7 +106,7 @@ func TestCancelStream(t *testing.T) {
 
 // TestCancelBeforeStart pins that an already-cancelled context stops
 // the run at the first batch boundary with a zero-event partial
-// result, in both drivers.
+// result, with one replica and with a sharded worker group.
 func TestCancelBeforeStart(t *testing.T) {
 	text := cancelTrace(64)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -22,8 +22,9 @@ package treeclock
 // checkpoint is always a prefix of the trace that every state machine
 // (engine, validator, interner) has fully processed. Sinks receive
 // only complete checkpoint byte streams: the bytes are assembled in
-// memory first, so a crash while writing can at worst leave a torn
-// file, which FileCheckpointSink avoids with a temp-file rename.
+// memory first, so a crash or a failed write can at worst leave a torn
+// file, which FileCheckpointSink avoids with a temp-file rename that
+// only a fully written checkpoint reaches.
 //
 // The config section keeps a flat weak-clock byte so that format v2
 // and its committed golden stay unchanged and existing checkpoints
@@ -67,8 +68,8 @@ type CheckpointSink interface {
 // previous one atomically: the bytes go to a temporary file in the
 // same directory, synced and renamed over Path on Close, and the
 // directory is synced after the rename, so a crash never leaves a torn
-// checkpoint behind or loses a committed one. A failed commit removes
-// the temporary file and keeps the previous checkpoint.
+// checkpoint behind or loses a committed one. A failed write or commit
+// removes the temporary file and keeps the previous checkpoint.
 type FileCheckpointSink struct {
 	// Path is the checkpoint file location.
 	Path string
@@ -86,29 +87,40 @@ func (s FileCheckpointSink) Create(events uint64) (io.WriteCloser, error) {
 
 // atomicFile commits a temp file to its final path on Close: sync,
 // rename, then sync the directory so the new name survives a crash.
+// After a failed Write the temp file holds a partial checkpoint, so
+// Close discards it and returns that error instead of committing.
 type atomicFile struct {
 	f    *os.File
 	path string
+	err  error // first Write failure
 	done bool
 }
 
-func (a *atomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
+func (a *atomicFile) Write(p []byte) (int, error) {
+	if a.err != nil {
+		return 0, a.err
+	}
+	n, err := a.f.Write(p)
+	a.err = err
+	return n, err
+}
 
 func (a *atomicFile) Close() error {
 	if a.done {
 		return nil
 	}
 	a.done = true
-	if err := a.f.Sync(); err != nil {
-		a.f.Close()
-		os.Remove(a.f.Name())
-		return err
+	err := a.err
+	if err == nil {
+		err = a.f.Sync()
 	}
-	if err := a.f.Close(); err != nil {
-		os.Remove(a.f.Name())
-		return err
+	if cerr := a.f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(a.f.Name(), a.path); err != nil {
+	if err == nil {
+		err = os.Rename(a.f.Name(), a.path)
+	}
+	if err != nil {
 		os.Remove(a.f.Name())
 		return err
 	}

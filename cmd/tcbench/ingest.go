@@ -3,10 +3,11 @@ package main
 // The ingest experiment measures end-to-end ingestion throughput —
 // parse + analyze, the events/second metric the CSST line of work
 // reports — for every registry engine across the two trace formats and
-// the three consumption modes: scalar (one interface call per event,
-// the pre-batching loop), batch (the default: NextBatch into a
-// caller-owned buffer) and pipeline (decoding overlapped with analysis
-// in a separate goroutine). With -json the results are also written as
+// the three consumption modes: scalar (a source without batch support,
+// one interface call per event: trace.ReadBatch gathers the Next calls
+// into the driver loop's batches), batch (the default: NextBatch into
+// the driver loop's buffer) and pipeline (decoding overlapped with
+// analysis in a separate goroutine). With -json the results are also written as
 // a machine-readable report (BENCH_ingest.json) so the repo's perf
 // trajectory is tracked release over release.
 
@@ -70,8 +71,8 @@ type ingestReport struct {
 var ingestModes = []string{"scalar", "batch", "pipeline"}
 
 // nextOnly hides a source's batch methods behind a plain EventSource,
-// so the engine runtime falls back to its per-event loop: the scalar
-// cells.
+// so trace.ReadBatch fills each batch one Next call at a time: the
+// scalar cells.
 type nextOnly struct{ src treeclock.EventSource }
 
 func (s nextOnly) Next() (treeclock.Event, bool) { return s.src.Next() }

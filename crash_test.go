@@ -92,6 +92,46 @@ func TestFileCheckpointSinkFailedCommit(t *testing.T) {
 	}
 }
 
+// TestFileCheckpointSinkFailedWrite pins that a failed write never
+// replaces the previous checkpoint: the temp file is reopened
+// read-only so Write fails, and Close must then fail too, leave Path
+// holding the previous bytes and remove the temp file.
+func TestFileCheckpointSinkFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "session.ckpt")
+	if err := os.WriteFile(path, []byte("previous"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp.Close()
+	ro, err := os.Open(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &atomicFile{f: ro, path: path}
+	if _, err := w.Write([]byte("checkpoint")); err == nil {
+		t.Fatal("Write to a read-only temp file succeeded")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after a failed Write committed")
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "previous" {
+		t.Fatalf("checkpoint after a failed write = %q, %v; want the previous bytes", data, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "session.ckpt" {
+			t.Errorf("failed write left %q behind", e.Name())
+		}
+	}
+}
+
 // crashTrace is one corpus entry, serialized once per format.
 type crashTrace struct {
 	name string

@@ -61,12 +61,13 @@
 //     Rather than serialize those effects through cross-worker
 //     communication — a synchronization point per sync event — every
 //     worker runs a complete engine replica over the complete stream.
-//     A coordinator sequences decoded batches into per-worker SPSC
-//     ring queues in trace order (batches are shared read-only and
-//     refcount-recycled, reusing the pipelined decoder's buffer
-//     discipline), so each replica performs the identical,
-//     deterministic clock evolution of the sequential engine, with no
-//     locks and no cross-worker traffic on the hot path.
+//     The session's driver loop, acting as coordinator, sequences
+//     batches into per-worker SPSC ring queues in trace order (each
+//     batch is copied once into a pooled buffer that every worker
+//     reads, and the last worker to finish returns it to the pool), so
+//     each replica performs the identical, deterministic clock
+//     evolution of the sequential engine, with no locks and no
+//     cross-worker traffic on the hot path.
 //
 // Reports stay deterministic — byte-identical to the sequential run,
 // pinned across the whole registry and generator suite by
@@ -224,19 +225,21 @@
 // tokenizer over a reused read buffer — no per-line strings, identifier
 // names copied only on first sight — that runs at zero allocations per
 // event in steady state; every event source (both scanners, the
-// validator, the in-memory TraceReplayer) also delivers events in bulk
-// through BatchEventSource, and the engine runtime pulls batches into a
-// caller-owned buffer automatically, amortizing interface dispatch to
-// once per batch (a source without batch support is drained one event
-// at a time). WithPipeline(depth) moves decoding into its own
-// goroutine behind a ring of recycled batch buffers so parsing
-// overlaps analysis — the default for text input when GOMAXPROCS > 1
+// validator, the in-memory TraceReplayer, the pipelined decoder) also
+// delivers events in bulk through BatchEventSource. Session.Run reads
+// 512-event batches into one reused buffer, amortizing interface
+// dispatch to once per batch (for a source without batch support,
+// trace.ReadBatch gathers each batch one Next call at a time), and
+// hands each batch to the same per-batch step Feed uses.
+// WithPipeline(depth) moves decoding into its own goroutine behind a
+// ring of recycled batch buffers so parsing overlaps analysis; the
+// loop copies each decoded batch out and hands its buffer straight
+// back. That is the default for text input when GOMAXPROCS > 1
 // (binary decode is too cheap to win the hand-off, and sharded runs
 // overlap decode in the coordinator already; WithPipeline(0) forces
 // the synchronous path). Batches are consumed strictly in order, so
-// every mode
-// produces byte-identical race reports — a property pinned by
-// differential fuzz tests across every registry engine. cmd/tcbench
+// every mode produces byte-identical race reports — a property pinned
+// by differential fuzz tests across every registry engine. cmd/tcbench
 // -experiment ingest measures the modes against each other and, with
 // -json, emits a machine-readable BENCH_ingest.json report. For
 // heavy-traffic ingestion, WithProgress(every, fn) reports the running
@@ -258,7 +261,8 @@
 // committed golden file pins the wire format against silent drift.
 // Checkpoints are written whole (the sink receives only complete
 // serializations; tcrace -checkpoint additionally writes
-// temp-file-plus-rename), so a crash mid-write leaves the previous
+// temp-file-plus-rename, and commits only a fully written file), so a
+// crash or a failed write mid-checkpoint leaves the previous
 // checkpoint usable.
 //
 // The guarantee is proven by fault injection, not argued: the crash
@@ -273,8 +277,9 @@
 // releases them; a checkpoint resumes into a run with the same worker
 // count.
 //
-// Runs are also cancellable: WithContext(ctx) stops either driver at
-// the next batch boundary when ctx is done, returning the partial
+// Runs are also cancellable: WithContext(ctx) stops a session, pulled
+// or pushed, at the next batch boundary when ctx is done (one check,
+// before every batch, shared by both modes), returning the partial
 // StreamResult (events ingested so far, retained-state accounting)
 // alongside ctx.Err(), with no goroutines left behind. cmd/tcrace
 // surfaces all of it (-checkpoint, -checkpoint-every, -resume) with a
@@ -283,13 +288,16 @@
 //
 // # Analysis as a service
 //
-// The streaming drivers are thin wrappers over a first-class Session:
-// Open(engine, opts...) constructs and validates the configuration in
-// one place, Feed(batch) pushes events incrementally, Snapshot(w)
-// checkpoints mid-stream, Mem() reports retained-state accounting,
-// and Result()/Close() seal the run. Everything RunStream and
-// RunStreamSource do — sequential or sharded, pull or push — flows
-// through this one core, so incremental feeding, mid-stream
+// RunStream and RunStreamSource are thin wrappers over a first-class
+// Session: Open(engine, opts...) constructs and validates the
+// configuration in one place, Run(src) pulls a source through it,
+// Feed(batch) pushes events incrementally, Snapshot(w) checkpoints
+// mid-stream, Mem() reports retained-state accounting, and
+// Result()/Close() seal the run. Run and Feed share one per-batch step
+// (hand the batch to the replica or the worker group, advance the
+// delivered count, take the cadence checkpoint) and one start and stop
+// path, so sequential or sharded, pull or push, every run flows
+// through this one core, and incremental feeding, mid-stream
 // checkpointing, budget inspection and eviction/resume are library
 // capabilities, not daemon-private forks.
 //

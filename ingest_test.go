@@ -11,7 +11,8 @@ import (
 // ingestModes are the consumption strategies of the batched ingestion
 // layer; every one must be observationally identical. The scalar mode
 // hands RunStreamSource a scanner stripped of its batch methods, so
-// the engine runtime drains it one event at a time.
+// the session's driver loop gathers each batch one Next call at a
+// time.
 var ingestModes = []struct {
 	name   string
 	scalar bool

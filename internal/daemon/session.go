@@ -78,9 +78,11 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	}
 	defer release()
 
-	spool := filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")
+	// The session's one spool sink: the checkpoint cadence, detach,
+	// eviction and courtesy checkpoints all commit through it.
+	sink := treeclock.FileCheckpointSink{Path: filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")}
 	opts := []treeclock.StreamOption{
-		treeclock.WithCheckpoint(s.cfg.CheckpointEvery, treeclock.FileCheckpointSink{Path: spool}),
+		treeclock.WithCheckpoint(s.cfg.CheckpointEvery, sink),
 	}
 	if spec.Workers > 1 {
 		opts = append(opts, treeclock.WithWorkers(spec.Workers))
@@ -95,7 +97,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 		opts = append(opts, treeclock.WithSummaryCap(spec.SummaryCap))
 	}
 	if spec.Resume {
-		data, err := os.ReadFile(spool)
+		data, err := os.ReadFile(sink.Path)
 		if err != nil {
 			fail("tcraced: session %q has no resumable checkpoint: %v", spec.ID, err)
 			return
@@ -126,7 +128,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 		return
 	}
 	s.cfg.Logf("session %s: open engine=%s workers=%d resume=%v pos=%d", spec.ID, spec.Engine, spec.Workers, spec.Resume, pos)
-	end := s.feedLoop(br, bw, spec, sess, pos)
+	end := s.feedLoop(br, bw, spec, sess, sink, pos)
 	// Tear down before telling the client: one that acts on the terminal
 	// frame at once — resuming a detached or evicted id, reading stats
 	// after a finish — must find the id free and the outcome recorded.
@@ -134,7 +136,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	if end.outcome == "finished" {
 		// The trace is fully analyzed; the spool frontier has nothing
 		// left to resume.
-		os.Remove(spool)
+		os.Remove(sink.Path)
 	}
 	s.stats.sessionClosed(spec.ID, end.outcome)
 	s.cfg.Logf("session %s: %s at %d events", spec.ID, end.outcome, sess.Events())
@@ -154,23 +156,16 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 // feedLoop drives one opened session until a terminal outcome and
 // returns it; the caller tears the session down and then writes the
 // terminal frame.
-func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, sess *treeclock.Session, pos uint64) ending {
-	spool := filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")
+func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, sess *treeclock.Session, sink treeclock.CheckpointSink, pos uint64) ending {
 	fail := func(format string, args ...any) ending {
 		return ending{"failed", frameError, []byte(fmt.Sprintf(format, args...))}
 	}
-	// courtesy snapshots the session to its spool so the client (or the
-	// next daemon) can resume; best-effort on abnormal exits.
+	// courtesy spools the session so the client (or the next daemon)
+	// can resume; best-effort on abnormal exits, so a failure is only
+	// logged.
 	courtesy := func() {
-		var buf bytes.Buffer
-		if sess.Snapshot(&buf) == nil {
-			if wc, err := (treeclock.FileCheckpointSink{Path: spool}).Create(sess.Events()); err == nil {
-				if _, err := wc.Write(buf.Bytes()); err == nil {
-					wc.Close()
-				} else {
-					wc.Close()
-				}
-			}
+		if err := spool(sink, sess); err != nil {
+			s.cfg.Logf("session %s: courtesy checkpoint at %d events failed: %v", spec.ID, sess.Events(), err)
 		}
 	}
 
@@ -209,7 +204,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 					retained = ms.RetainedBytes
 					s.stats.sessionRetained(spec.ID, retained)
 					if s.cfg.MaxRetainedBytes > 0 && retained > s.cfg.MaxRetainedBytes {
-						return s.evict(spec, sess, retained)
+						return s.evict(spec, sess, sink, retained)
 					}
 				}
 			}
@@ -233,21 +228,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 			s.stats.sessionFinished(spec.ID, res.Summary.Total)
 			return ending{"finished", frameResult, payload}
 		case frameDetach:
-			var snap bytes.Buffer
-			if err := sess.Snapshot(&snap); err != nil {
-				return fail("%v", err)
-			}
-			wc, err := (treeclock.FileCheckpointSink{Path: spool}).Create(sess.Events())
-			if err == nil {
-				_, werr := wc.Write(snap.Bytes())
-				cerr := wc.Close()
-				if werr != nil {
-					err = werr
-				} else {
-					err = cerr
-				}
-			}
-			if err != nil {
+			if err := spool(sink, sess); err != nil {
 				return fail("tcraced: spooling detach checkpoint: %v", err)
 			}
 			payload, err := encodePos(sess.Events(), "")
@@ -266,24 +247,9 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 // then an evicted frame naming the resumable position and the reason,
 // and disconnection. The client resumes later (here or on another
 // daemon sharing the spool) and re-feeds from the reported position.
-func (s *Server) evict(spec *openSpec, sess *treeclock.Session, retained uint64) ending {
-	spool := filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")
-	var snap bytes.Buffer
-	if err := sess.Snapshot(&snap); err != nil {
-		return ending{"failed", frameError, []byte(fmt.Sprintf("tcraced: evicting session %q: %v", spec.ID, err))}
-	}
-	wc, err := (treeclock.FileCheckpointSink{Path: spool}).Create(sess.Events())
-	if err == nil {
-		_, werr := wc.Write(snap.Bytes())
-		cerr := wc.Close()
-		if werr != nil {
-			err = werr
-		} else {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return ending{"failed", frameError, []byte(fmt.Sprintf("tcraced: spooling eviction checkpoint: %v", err))}
+func (s *Server) evict(spec *openSpec, sess *treeclock.Session, sink treeclock.CheckpointSink, retained uint64) ending {
+	if err := spool(sink, sess); err != nil {
+		return ending{"failed", frameError, []byte(fmt.Sprintf("tcraced: spooling eviction checkpoint for session %q: %v", spec.ID, err))}
 	}
 	reason := fmt.Sprintf("retained %d bytes over budget %d", retained, s.cfg.MaxRetainedBytes)
 	payload, perr := encodePos(sess.Events(), reason)
@@ -292,6 +258,27 @@ func (s *Server) evict(spec *openSpec, sess *treeclock.Session, retained uint64)
 	}
 	s.cfg.Logf("session %s: evicted (%s)", spec.ID, reason)
 	return ending{"evicted", frameEvicted, payload}
+}
+
+// spool snapshots sess and commits the checkpoint through sink — the
+// one write path behind the detach, eviction and courtesy checkpoints.
+// The error of the snapshot, the write or the commit is returned; a
+// sink that keeps its previous checkpoint on failure (as
+// FileCheckpointSink does) leaves the last resumable state in place.
+func spool(sink treeclock.CheckpointSink, sess *treeclock.Session) error {
+	var snap bytes.Buffer
+	if err := sess.Snapshot(&snap); err != nil {
+		return err
+	}
+	wc, err := sink.Create(sess.Events())
+	if err != nil {
+		return err
+	}
+	if _, err := wc.Write(snap.Bytes()); err != nil {
+		wc.Close()
+		return err
+	}
+	return wc.Close()
 }
 
 // encodeProgress marshals a progress notice: absolute event position

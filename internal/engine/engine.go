@@ -352,50 +352,16 @@ func (r *Runtime[C]) Process(events []trace.Event) {
 	}
 }
 
-// ProcessSource drains a streaming event source through Step in one
-// pass, returning the source's error, if any. Sources that support
-// batch delivery are consumed in batches (interface dispatch and the
-// streaming-loop overhead amortize to once per trace.DefaultBatchSize
-// events instead of once per event); a pipelined decoder's own buffers
-// are consumed zero-copy. Use ProcessScalar to force the per-event
-// path.
+// ProcessSource drains a streaming event source through Process in
+// one pass, trace.DefaultBatchSize events at a time, returning the
+// source's error, if any. trace.ReadBatch fills each batch, gathering
+// per-event Next calls for sources without batch support, so the
+// interface dispatch and loop overhead amortize to once per batch.
 func (r *Runtime[C]) ProcessSource(src trace.EventSource) error {
-	switch s := src.(type) {
-	case trace.BatchProducer:
-		return r.processProducer(s)
-	case trace.BatchSource:
-		return r.ProcessBatches(s, make([]trace.Event, trace.DefaultBatchSize))
-	default:
-		return r.ProcessScalar(src)
-	}
-}
-
-// ProcessScalar drains src one Next call per event — the pre-batching
-// streaming loop, kept for comparison benchmarks and as the fallback
-// for sources without batch support.
-func (r *Runtime[C]) ProcessScalar(src trace.EventSource) error {
+	buf := make([]trace.Event, trace.DefaultBatchSize)
 	for {
-		ev, ok := src.Next()
-		if !ok {
-			return src.Err()
-		}
-		r.Step(ev)
-	}
-}
-
-// ProcessBatches drains a batch source through Step using the
-// caller-owned buffer buf (sized to trace.DefaultBatchSize when empty),
-// so the interface call, its bounds checks and the loop dispatch run
-// once per batch rather than once per event.
-func (r *Runtime[C]) ProcessBatches(src trace.BatchSource, buf []trace.Event) error {
-	if len(buf) == 0 {
-		buf = make([]trace.Event, trace.DefaultBatchSize)
-	}
-	for {
-		n, ok := src.NextBatch(buf)
-		for i := 0; i < n; i++ {
-			r.Step(buf[i])
-		}
+		n, ok := trace.ReadBatch(src, buf)
+		r.Process(buf[:n])
 		if !ok {
 			return src.Err()
 		}
@@ -404,11 +370,12 @@ func (r *Runtime[C]) ProcessBatches(src trace.BatchSource, buf []trace.Event) er
 
 // ProcessBatchAt steps a batch whose first event sits at global trace
 // position base, stamping each event's position into the attached
-// accumulator first. It is the sharded-worker entry point
-// (internal/parallel): position stamps let per-shard race samples be
-// merged back into trace order (analysis.MergeAccumulators), and the
-// per-batch granularity matches the fan-out transport. Results are
-// identical to Step in a loop.
+// accumulator first. It is every streaming driver's entry point: the
+// session feeds each batch through it, on the caller's goroutine or
+// on a sharded worker's (internal/parallel). Position stamps let
+// per-shard race samples be merged back into trace order
+// (analysis.MergeAccumulators). Results are identical to Step in a
+// loop.
 func (r *Runtime[C]) ProcessBatchAt(base uint64, events []trace.Event) {
 	if r.acc == nil {
 		for i := range events {
@@ -464,22 +431,6 @@ func MergeMemStats(stats []MemStats) MemStats {
 		}
 	}
 	return out
-}
-
-// processProducer consumes a batch-owning source (the pipelined
-// decoder) without copying: each acquired buffer is stepped through and
-// recycled.
-func (r *Runtime[C]) processProducer(src trace.BatchProducer) error {
-	for {
-		b, ok := src.AcquireBatch()
-		if !ok {
-			return src.Err()
-		}
-		for i := range b {
-			r.Step(b[i])
-		}
-		src.ReleaseBatch(b)
-	}
 }
 
 // Events returns the number of events processed.

@@ -157,10 +157,17 @@ t0 w x0
 	}
 }
 
+// nextOnly hides a source's batch method, so trace.ReadBatch gathers
+// its events one Next call at a time.
+type nextOnly struct{ src trace.EventSource }
+
+func (s nextOnly) Next() (trace.Event, bool) { return s.src.Next() }
+func (s nextOnly) Err() error                { return s.src.Err() }
+
 // TestProcessSourceConsumptionModes runs one trace through every
-// consumption mode of ProcessSource — per-event scalar, caller-buffer
-// batches (via the in-memory replayer) and the pipelined zero-copy
-// producer — and checks the final timestamps are identical.
+// source shape ProcessSource reads — per-event Next only, batches from
+// the in-memory replayer, and the pipelined decoder — and checks the
+// final timestamps are identical.
 func TestProcessSourceConsumptionModes(t *testing.T) {
 	tr := gen.Mixed(gen.Config{Name: "modes", Threads: 8, Locks: 4, Vars: 32, Events: 4000, Seed: 9, SyncFrac: 0.3})
 	for _, order := range orders {
@@ -168,16 +175,12 @@ func TestProcessSourceConsumptionModes(t *testing.T) {
 		ref.Process(tr.Events)
 
 		scalar := newRuntime[*core.TreeClock](t, order, core.Factory(nil))
-		if err := scalar.ProcessScalar(trace.NewReplayer(tr)); err != nil {
+		if err := scalar.ProcessSource(nextOnly{trace.NewReplayer(tr)}); err != nil {
 			t.Fatalf("%s: scalar: %v", order, err)
 		}
 		batched := newRuntime[*core.TreeClock](t, order, core.Factory(nil))
 		if err := batched.ProcessSource(trace.NewReplayer(tr)); err != nil {
 			t.Fatalf("%s: batched: %v", order, err)
-		}
-		smallBuf := newRuntime[*core.TreeClock](t, order, core.Factory(nil))
-		if err := smallBuf.ProcessBatches(trace.NewReplayer(tr), make([]trace.Event, 7)); err != nil {
-			t.Fatalf("%s: small buffer: %v", order, err)
 		}
 		piped := newRuntime[*core.TreeClock](t, order, core.Factory(nil))
 		p := trace.NewPipeline(trace.NewReplayer(tr), 3, 64)
@@ -187,7 +190,7 @@ func TestProcessSourceConsumptionModes(t *testing.T) {
 		p.Close()
 
 		k := tr.Meta.Threads
-		for _, rt := range []*engine.Runtime[*core.TreeClock]{scalar, batched, smallBuf, piped} {
+		for _, rt := range []*engine.Runtime[*core.TreeClock]{scalar, batched, piped} {
 			if rt.Events() != uint64(tr.Len()) {
 				t.Fatalf("%s: processed %d events, want %d", order, rt.Events(), tr.Len())
 			}

@@ -6,48 +6,47 @@ import (
 	"treeclock/internal/trace"
 )
 
-// Group is the push-mode fan-out transport: the same worker goroutines,
-// SPSC rings and refcounted shared batches Run uses to drain a source,
-// exposed as an object a caller can feed incrementally. Run is a Group
-// wrapped around a pull loop; a streaming session (a daemon feeding
-// client batches as they arrive over a socket) is a Group driven
-// directly.
+// ringLen is each worker's ring capacity in batches; the buffer pool
+// holds two more, so the coordinator only blocks when the slowest
+// worker is genuinely behind.
+const ringLen = 8
+
+// Group is the fan-out transport: one worker goroutine per replica,
+// each behind its own SPSC ring, fed incrementally by the caller. A
+// streaming session drives it the same way whether it pulls batches
+// from a decoder or is pushed them (a daemon feeding client batches as
+// they arrive over a socket).
 //
-// All producer-side methods — Feed, FeedShared, Barrier, Close — must
-// be called from a single goroutine, matching the single-producer
-// contract of the underlying rings. Workers run until Close.
+// All coordinator-side methods — Feed, Barrier, Close — must be called
+// from a single goroutine, matching the single-producer contract of
+// the underlying rings. Workers run until Close.
 type Group struct {
 	rings []*spscRing
 	wg    sync.WaitGroup
-	n     int
-	queue int
-	batch int
-	free  chan []trace.Event // lazy copy-mode buffer pool
+	free  chan []trace.Event // buffer pool, returned to by the last worker
 	// events is the global trace position of the next event to be fed:
-	// StartAt plus everything delivered so far. Producer-goroutine only.
+	// the start position plus everything delivered so far.
+	// Coordinator-goroutine only.
 	events uint64
 	closed bool
 }
 
 // NewGroup starts one worker goroutine per replica and returns the
-// group ready to be fed. Only the Queue, BatchSize and StartAt fields
-// of opts apply; cancellation and checkpoint cadence are pull-loop
-// concerns that push-mode callers express directly (stop feeding;
-// call Barrier).
-func NewGroup(replicas []Replica, opts Options) *Group {
-	queue := opts.Queue
-	if queue <= 0 {
-		queue = 8
-	}
+// group ready to be fed. startAt is the global trace position of the
+// first event to be fed — non-zero when resuming from a checkpoint, so
+// position stamps continue the interrupted run's numbering. replicas
+// must be non-empty.
+func NewGroup(replicas []Replica, startAt uint64) *Group {
 	g := &Group{
 		rings:  make([]*spscRing, len(replicas)),
-		n:      len(replicas),
-		queue:  queue,
-		batch:  batchSize(opts),
-		events: opts.StartAt,
+		free:   make(chan []trace.Event, ringLen+2),
+		events: startAt,
+	}
+	for i := 0; i < cap(g.free); i++ {
+		g.free <- make([]trace.Event, trace.DefaultBatchSize)
 	}
 	for w := range replicas {
-		g.rings[w] = newRing(queue)
+		g.rings[w] = newRing(ringLen)
 		g.wg.Add(1)
 		go g.worker(replicas[w], g.rings[w])
 	}
@@ -55,7 +54,8 @@ func NewGroup(replicas []Replica, opts Options) *Group {
 }
 
 // worker is one replica's consume loop: process data batches in ring
-// order, park at barriers, exit when the ring closes.
+// order, return each spent buffer to the pool, park at barriers, exit
+// when the ring closes.
 func (g *Group) worker(rep Replica, ring *spscRing) {
 	defer g.wg.Done()
 	for {
@@ -69,61 +69,29 @@ func (g *Group) worker(rep Replica, ring *spscRing) {
 			continue
 		}
 		rep.ProcessBatchAt(b.base, b.events)
-		b.release()
+		if b.refs.Add(-1) == 0 {
+			g.free <- b.events[:cap(b.events)]
+		}
 	}
 }
 
-// Events returns the global trace position of the next event to be
-// fed (StartAt plus all events delivered so far).
-func (g *Group) Events() uint64 { return g.events }
-
-// FeedShared fans evs out to every worker without copying: all workers
-// read the same underlying slice, and the last one to finish hands the
-// buffer to recycle. The caller must not touch evs again until recycle
-// runs. Blocks while the slowest worker's ring is full.
-func (g *Group) FeedShared(evs []trace.Event, recycle func([]trace.Event)) {
-	b := &sharedBatch{events: evs, base: g.events, recycle: recycle}
-	b.refs.Store(int32(g.n))
-	for _, ring := range g.rings {
-		ring.Push(b)
-	}
-	g.events += uint64(len(evs))
-}
-
-// Feed copies evs into pooled buffers (chunked to the batch size) and
-// fans each chunk out to every worker. The caller keeps ownership of
-// evs; use FeedShared to skip the copy when the buffer's lifetime can
-// be handed over.
+// Feed copies evs into pooled buffers, trace.DefaultBatchSize events
+// at a time, and fans each buffer out to every worker in trace order.
+// The caller keeps ownership of evs. Blocks while the pool is empty,
+// that is while the slowest worker's ring is full.
 func (g *Group) Feed(evs []trace.Event) {
 	for len(evs) > 0 {
-		n := g.batch
-		if n > len(evs) {
-			n = len(evs)
+		buf := <-g.free
+		n := copy(buf, evs)
+		b := &sharedBatch{events: buf[:n], base: g.events}
+		b.refs.Store(int32(len(g.rings)))
+		for _, ring := range g.rings {
+			ring.Push(b)
 		}
-		buf := g.buffer()
-		c := copy(buf[:n], evs[:n])
-		g.FeedShared(buf[:c], g.recycleBuffer)
+		g.events += uint64(n)
 		evs = evs[n:]
 	}
 }
-
-// buffer takes a decode/copy buffer from the pool, creating the pool
-// on first use (the zero-copy paths never need one). Producer-only, so
-// the lazy init is unsynchronized by contract.
-func (g *Group) buffer() []trace.Event {
-	if g.free == nil {
-		// Sized past the rings' capacity so the producer only blocks
-		// when the slowest worker is genuinely behind.
-		g.free = make(chan []trace.Event, g.queue+2)
-		for i := 0; i < cap(g.free); i++ {
-			g.free <- make([]trace.Event, g.batch)
-		}
-	}
-	return <-g.free
-}
-
-// recycleBuffer returns a pool buffer once the last worker releases it.
-func (g *Group) recycleBuffer(evs []trace.Event) { g.free <- evs[:cap(evs)] }
 
 // Barrier pauses every worker at the current trace position and runs
 // fn (if non-nil) while they are parked, so fn may read all replica
@@ -132,7 +100,7 @@ func (g *Group) recycleBuffer(evs []trace.Event) { g.free <- evs[:cap(evs)] }
 // and nothing else. Returns fn's error after releasing the workers.
 func (g *Group) Barrier(fn func(events uint64) error) error {
 	var arrived sync.WaitGroup
-	arrived.Add(g.n)
+	arrived.Add(len(g.rings))
 	b := &sharedBatch{pause: &arrived, resume: make(chan struct{})}
 	for _, ring := range g.rings {
 		ring.Push(b)
@@ -147,7 +115,7 @@ func (g *Group) Barrier(fn func(events uint64) error) error {
 }
 
 // Close marks the stream complete and waits for every worker to drain
-// its ring and exit. Idempotent; no Feed/FeedShared/Barrier may follow.
+// its ring and exit. Idempotent; no Feed or Barrier may follow.
 func (g *Group) Close() {
 	if g.closed {
 		return

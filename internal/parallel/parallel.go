@@ -28,21 +28,21 @@
 // # Transport
 //
 // Each worker consumes its own bounded SPSC ring (one producer: the
-// coordinator; one consumer: the worker), so batch hand-off is two
-// atomic loads and a store in the common case. Batches are shared,
-// not copied: the coordinator wraps each decoded buffer in a
-// refcounted sharedBatch, every worker reads the same underlying
-// slice (replicas only read events, never mutate them), and the last
-// worker to finish recycles the buffer — back to the coordinator's
-// free pool, or to the upstream decoder when the source is a
-// trace.BatchProducer (the pipelined decoder's zero-copy recycling
-// discipline). The rings bound the in-flight batches, so memory stays
-// O(workers × queue × batch) and a slow worker back-pressures the
-// decoder instead of ballooning the queues.
+// coordinator, whichever goroutine feeds the Group; one consumer: the
+// worker), so batch hand-off is two atomic loads and a store in the
+// common case. Feed copies each batch once into a buffer from a small
+// fixed pool and fans that one buffer out: it is wrapped in a
+// refcounted sharedBatch, every worker reads the same slice (replicas
+// only read events, never mutate them), and the last worker to finish
+// returns the buffer to the pool. The caller keeps ownership of what
+// it fed, so a pull session's decode buffer and a push session's
+// caller-owned batch take the same path. The rings bound the in-flight
+// batches, so memory stays O(workers × ring length × batch) and a slow
+// worker back-pressures the coordinator instead of ballooning the
+// queues.
 package parallel
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -60,35 +60,9 @@ type Replica interface {
 	ProcessBatchAt(base uint64, events []trace.Event)
 }
 
-// Options tunes the fan-out transport.
-type Options struct {
-	// Queue is the per-worker ring capacity in batches (default 8).
-	Queue int
-	// BatchSize is the decode batch capacity when the source does not
-	// produce its own batches (default trace.DefaultBatchSize).
-	BatchSize int
-	// Ctx cancels the run: the coordinator stops dispatching at the
-	// next batch boundary, the workers drain what was already queued,
-	// and Run returns the delivered count with ctx.Err(). Nil means
-	// never cancelled.
-	Ctx context.Context
-	// StartAt is the global trace position of the first event the
-	// source will deliver — non-zero when resuming from a checkpoint,
-	// so position stamps continue the interrupted run's numbering.
-	StartAt uint64
-	// CheckpointEvery is the checkpoint cadence in events (at batch
-	// granularity); 0 disables checkpointing.
-	CheckpointEvery uint64
-	// Checkpoint is called at each checkpoint boundary with every
-	// worker paused at exactly the same trace position (a barrier), so
-	// it may read all replica state without synchronization. A non-nil
-	// error aborts the run.
-	Checkpoint func(events uint64) error
-}
-
-// sharedBatch is one decoded batch in flight to all workers. events is
+// sharedBatch is one batch in flight to all workers. events is
 // read-only while shared; refs counts the workers still processing it,
-// and the last release recycles the underlying buffer.
+// and the last one returns the buffer to the group's pool.
 //
 // A sharedBatch with a non-nil pause field is a barrier, not data: the
 // worker reports arrival on pause, blocks on resume, and processes no
@@ -97,126 +71,9 @@ type Options struct {
 // trace position while the coordinator holds the barrier — the quiesce
 // point checkpoints are taken at.
 type sharedBatch struct {
-	events  []trace.Event
-	base    uint64 // global trace position of events[0]
-	refs    atomic.Int32
-	recycle func([]trace.Event)
-	pause   *sync.WaitGroup // barrier arrival; nil for data batches
-	resume  chan struct{}   // closed by the coordinator to release the barrier
-}
-
-// release is called by each worker when done with the batch; the last
-// one returns the buffer for reuse.
-func (b *sharedBatch) release() {
-	if b.refs.Add(-1) == 0 {
-		b.recycle(b.events)
-	}
-}
-
-// Run drains src through the replicas: every batch is delivered to
-// every worker, in trace order, and Run returns once all workers have
-// processed the final batch. The returned count is the number of
-// events delivered; the error is the source's (decode or validation
-// failure). On error the workers still finish the batches already
-// delivered — callers should discard their results.
-//
-// Run is the pull-mode wrapper around Group: it decodes (or forwards)
-// batches from src and feeds each into the group. Sync events need no
-// special casing — sequencing whole batches in trace order through
-// FIFO rings means every worker observes every event, sync or access,
-// in exactly the trace's order. Between batches the loop honors
-// cancellation and checkpoint boundaries (see Options); both act at
-// batch granularity, so every worker's replica is at a well-defined
-// trace position when either fires.
-func Run(src trace.EventSource, replicas []Replica, opts Options) (uint64, error) {
-	if len(replicas) == 0 {
-		// Nothing consumes the events; drain for the count and error so
-		// the degenerate call still honors the source contract.
-		var events uint64
-		buf := make([]trace.Event, batchSize(opts))
-		for {
-			c, ok := trace.ReadBatch(src, buf)
-			events += uint64(c)
-			if !ok {
-				return events, src.Err()
-			}
-		}
-	}
-	g := NewGroup(replicas, opts)
-	defer g.Close()
-
-	nextCkpt := opts.CheckpointEvery
-	for nextCkpt > 0 && nextCkpt <= g.Events() {
-		nextCkpt += opts.CheckpointEvery
-	}
-	cancelled := func() bool {
-		if opts.Ctx == nil {
-			return false
-		}
-		select {
-		case <-opts.Ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
-	// checkpoint takes a group barrier when the cadence is due and runs
-	// the checkpoint callback with every worker quiesced.
-	checkpoint := func() error {
-		if opts.CheckpointEvery == 0 || g.Events() < nextCkpt {
-			return nil
-		}
-		err := g.Barrier(opts.Checkpoint)
-		for nextCkpt <= g.Events() {
-			nextCkpt += opts.CheckpointEvery
-		}
-		return err
-	}
-
-	if p, ok := src.(trace.BatchProducer); ok {
-		// The upstream decoder owns the buffers; the last worker hands
-		// each one straight back to its ring.
-		for {
-			if cancelled() {
-				return g.Events(), opts.Ctx.Err()
-			}
-			evs, ok := p.AcquireBatch()
-			if !ok {
-				return g.Events(), p.Err()
-			}
-			g.FeedShared(evs, p.ReleaseBatch)
-			if err := checkpoint(); err != nil {
-				return g.Events(), err
-			}
-		}
-	}
-
-	// Plain source: decode into the group's free pool of reusable
-	// buffers and hand each filled buffer over zero-copy.
-	for {
-		if cancelled() {
-			return g.Events(), opts.Ctx.Err()
-		}
-		buf := g.buffer()
-		c, ok := trace.ReadBatch(src, buf)
-		if c > 0 {
-			g.FeedShared(buf[:c], g.recycleBuffer)
-		} else {
-			g.recycleBuffer(buf)
-		}
-		if !ok {
-			return g.Events(), src.Err()
-		}
-		if err := checkpoint(); err != nil {
-			return g.Events(), err
-		}
-	}
-}
-
-// batchSize resolves the decode batch capacity.
-func batchSize(opts Options) int {
-	if opts.BatchSize > 0 {
-		return opts.BatchSize
-	}
-	return trace.DefaultBatchSize
+	events []trace.Event
+	base   uint64 // global trace position of events[0]
+	refs   atomic.Int32
+	pause  *sync.WaitGroup // barrier arrival; nil for data batches
+	resume chan struct{}   // closed by the coordinator to release the barrier
 }

@@ -100,11 +100,13 @@ func TestRingCloseWakesConsumer(t *testing.T) {
 
 // recordingReplica captures the (base, len) sequence it was fed and a
 // checksum of the events, to prove every worker saw the identical
-// stream in the identical order.
+// stream in the identical order. A non-nil bufs also collects the
+// distinct buffers the batches arrived in.
 type recordingReplica struct {
 	bases []uint64
 	lens  []int
 	sum   uint64
+	bufs  map[*trace.Event]bool
 }
 
 func (r *recordingReplica) ProcessBatchAt(base uint64, events []trace.Event) {
@@ -112,6 +114,9 @@ func (r *recordingReplica) ProcessBatchAt(base uint64, events []trace.Event) {
 	r.lens = append(r.lens, len(events))
 	for _, ev := range events {
 		r.sum = r.sum*1000003 + uint64(ev.T)*31 + uint64(ev.Obj)*7 + uint64(ev.Kind)
+	}
+	if r.bufs != nil {
+		r.bufs[&events[0]] = true
 	}
 }
 
@@ -130,152 +135,78 @@ func testTrace(events int) *trace.Trace {
 	return tr
 }
 
-// TestRunFansOutIdentically drives Run over a replayed trace for
-// several worker counts: every worker must see the whole stream, in
-// order, with contiguous base positions.
+// feedAll feeds tr to a fresh group over replicas in chunks of chunk
+// events, the way a session feeds decoded or pushed batches, and
+// closes it.
+func feedAll(tr *trace.Trace, replicas []Replica, startAt uint64, chunk int) {
+	g := NewGroup(replicas, startAt)
+	for evs := tr.Events; len(evs) > 0; {
+		n := min(chunk, len(evs))
+		g.Feed(evs[:n])
+		evs = evs[n:]
+	}
+	g.Close()
+}
+
+// TestRunFansOutIdentically feeds a trace through Group.Feed for
+// several worker counts and chunk sizes (smaller than, equal to and
+// straddling the batch size): every worker must see the whole stream,
+// in order, in batches of at most trace.DefaultBatchSize with
+// contiguous base positions starting at the group's start position.
 func TestRunFansOutIdentically(t *testing.T) {
 	tr := testTrace(20000)
+	const startAt = 1000
 	for _, n := range []int{1, 2, 4, 7} {
-		replicas := make([]Replica, n)
-		recs := make([]*recordingReplica, n)
-		for w := range replicas {
-			recs[w] = &recordingReplica{}
-			replicas[w] = recs[w]
-		}
-		events, err := Run(trace.NewReplayer(tr), replicas, Options{})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if events != uint64(tr.Len()) {
-			t.Fatalf("n=%d: delivered %d events, want %d", n, events, tr.Len())
-		}
-		for w, rec := range recs {
-			var pos uint64
-			for i, base := range rec.bases {
-				if base != pos {
-					t.Fatalf("n=%d worker %d: batch %d at base %d, want %d", n, w, i, base, pos)
+		for _, chunk := range []int{100, trace.DefaultBatchSize, 700} {
+			replicas := make([]Replica, n)
+			recs := make([]*recordingReplica, n)
+			for w := range replicas {
+				recs[w] = &recordingReplica{}
+				replicas[w] = recs[w]
+			}
+			feedAll(tr, replicas, startAt, chunk)
+			for w, rec := range recs {
+				pos := uint64(startAt)
+				for i, base := range rec.bases {
+					if base != pos {
+						t.Fatalf("n=%d chunk=%d worker %d: batch %d at base %d, want %d", n, chunk, w, i, base, pos)
+					}
+					if rec.lens[i] > trace.DefaultBatchSize {
+						t.Fatalf("n=%d chunk=%d worker %d: batch %d holds %d events", n, chunk, w, i, rec.lens[i])
+					}
+					pos += uint64(rec.lens[i])
 				}
-				pos += uint64(rec.lens[i])
-			}
-			if pos != uint64(tr.Len()) {
-				t.Fatalf("n=%d worker %d: saw %d events, want %d", n, w, pos, tr.Len())
-			}
-			if rec.sum != recs[0].sum {
-				t.Fatalf("n=%d: worker %d event checksum diverges from worker 0", n, w)
+				if pos != startAt+uint64(tr.Len()) {
+					t.Fatalf("n=%d chunk=%d worker %d: saw %d events, want %d", n, chunk, w, pos-startAt, tr.Len())
+				}
+				if rec.sum != recs[0].sum {
+					t.Fatalf("n=%d chunk=%d: worker %d event checksum diverges from worker 0", n, chunk, w)
+				}
 			}
 		}
 	}
 }
 
-// countingSource wraps a Replayer and counts how many distinct buffers
-// are ever handed out via the coordinator's recycle discipline, by
-// observing the ReadBatch calls.
-type countingSource struct {
-	*trace.Replayer
-	calls int
-}
-
-func (c *countingSource) NextBatch(buf []trace.Event) (int, bool) {
-	c.calls++
-	return c.Replayer.NextBatch(buf)
-}
-
-// TestRunRecyclesBuffers checks the refcount discipline: the
-// coordinator's free pool is bounded, so a long trace must be carried
-// by a small fixed set of buffers. If a release were dropped the
-// coordinator would deadlock waiting on the pool; if a batch were
-// recycled early, the checksum comparison in the fan-out test would
+// TestRunRecyclesBuffers checks the refcount discipline at the default
+// ring length and batch size: a long trace must be carried by the
+// group's fixed pool of buffers. If a release were dropped the
+// coordinator would deadlock waiting on the pool; if a buffer were
+// recycled while a worker still read it, the workers' checksums would
 // diverge under -race.
 func TestRunRecyclesBuffers(t *testing.T) {
-	src := &countingSource{Replayer: trace.NewReplayer(testTrace(50000))}
-	recs := []*recordingReplica{{}, {}, {}}
-	replicas := []Replica{recs[0], recs[1], recs[2]}
-	events, err := Run(src, replicas, Options{Queue: 2, BatchSize: 128})
-	if err != nil {
-		t.Fatal(err)
+	tr := testTrace(50000)
+	recs := []*recordingReplica{{bufs: map[*trace.Event]bool{}}, {}, {}}
+	feedAll(tr, []Replica{recs[0], recs[1], recs[2]}, 0, trace.DefaultBatchSize)
+	if got := len(recs[0].lens); got < tr.Len()/trace.DefaultBatchSize {
+		t.Fatalf("trace carried in %d batches", got)
 	}
-	if events != 50000 {
-		t.Fatalf("delivered %d events, want 50000", events)
-	}
-	if src.calls < 50000/128 {
-		t.Fatalf("batched source consulted only %d times", src.calls)
+	if len(recs[0].bufs) > ringLen+2 {
+		t.Fatalf("trace carried in %d distinct buffers, pool holds %d", len(recs[0].bufs), ringLen+2)
 	}
 	for w := 1; w < len(recs); w++ {
 		if recs[w].sum != recs[0].sum {
 			t.Fatalf("worker %d checksum diverges (buffer recycled while in use?)", w)
 		}
-	}
-}
-
-// TestRunProducerPath runs the fan-out over a pipelined decoder — the
-// trace.BatchProducer zero-copy path — and checks the buffers flow
-// back to the pipeline's ring (the run completes) with identical
-// delivery.
-func TestRunProducerPath(t *testing.T) {
-	tr := testTrace(30000)
-	p := trace.NewPipeline(trace.NewReplayer(tr), 3, 256)
-	defer p.Close()
-	recs := []*recordingReplica{{}, {}}
-	events, err := Run(p, []Replica{recs[0], recs[1]}, Options{Queue: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if events != uint64(tr.Len()) {
-		t.Fatalf("delivered %d events, want %d", events, tr.Len())
-	}
-	if recs[0].sum != recs[1].sum {
-		t.Fatal("workers diverge on the producer path")
-	}
-	// Same trace through the plain path must checksum identically:
-	// the producer path may not reorder or drop batches.
-	ref := &recordingReplica{}
-	if _, err := Run(trace.NewReplayer(tr), []Replica{ref}, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if ref.sum != recs[0].sum {
-		t.Fatal("producer path delivers a different event stream than the plain path")
-	}
-}
-
-// erroringSource fails after a prefix, exercising the error path.
-type erroringSource struct {
-	left int
-	err  error
-}
-
-func (s *erroringSource) Next() (trace.Event, bool) {
-	if s.left == 0 {
-		return trace.Event{}, false
-	}
-	s.left--
-	return trace.Event{T: 0, Obj: 1, Kind: trace.Read}, true
-}
-func (s *erroringSource) Err() error { return s.err }
-
-// TestRunPropagatesSourceError checks a decode failure surfaces as
-// Run's error while the workers still drain cleanly (no hang).
-func TestRunPropagatesSourceError(t *testing.T) {
-	wantErr := errSentinel{}
-	rec := &recordingReplica{}
-	events, err := Run(&erroringSource{left: 700, err: wantErr}, []Replica{rec}, Options{BatchSize: 64})
-	if err != wantErr {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if events != 700 {
-		t.Fatalf("delivered %d events before the failure, want 700", events)
-	}
-}
-
-type errSentinel struct{}
-
-func (errSentinel) Error() string { return "decode failed" }
-
-// TestRunNoReplicas pins the degenerate drain: the source is consumed
-// for its count and error even with nothing to analyze.
-func TestRunNoReplicas(t *testing.T) {
-	events, err := Run(trace.NewReplayer(testTrace(1000)), nil, Options{})
-	if err != nil || events != 1000 {
-		t.Fatalf("Run(nil replicas) = %d, %v; want 1000, nil", events, err)
 	}
 }
 

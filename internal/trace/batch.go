@@ -6,11 +6,14 @@ package trace
 // a bounds check and a branch on the hot path of every event. The
 // batch API amortizes all three to once per batch: a BatchSource fills
 // a caller-owned buffer with up to len(buf) events per call, and the
-// engine runtime (Runtime.ProcessBatches) then steps through the
-// buffer with a plain slice loop. Every source in this package — the
-// text Scanner, the BinaryScanner, the Validator and the in-memory
-// Replayer — implements BatchSource; Pipeline additionally overlaps
-// decoding with analysis (see pipeline.go).
+// consumer then steps through the buffer with a plain slice loop.
+// Every source in this package — the text Scanner, the BinaryScanner,
+// the Validator, the in-memory Replayer and the Pipeline — implements
+// BatchSource, and ReadBatch gathers per-event Next calls into a batch
+// for any source that does not, so every consumer (the streaming
+// session's driver loop, Runtime.ProcessSource) reads batches through
+// ReadBatch alone. Pipeline additionally overlaps decoding with
+// analysis (see pipeline.go).
 
 // DefaultBatchSize is the event-batch capacity used when a consumer
 // does not supply its own buffer. 512 events (≈6 KiB) amortizes the
@@ -29,18 +32,6 @@ const DefaultBatchSize = 512
 type BatchSource interface {
 	EventSource
 	NextBatch(buf []Event) (n int, ok bool)
-}
-
-// BatchProducer is a source that owns its batch buffers and hands them
-// out without copying — the contract of the pipelined decoder, whose
-// buffers are recycled through a ring. AcquireBatch returns the next
-// decoded batch (nil, false at end of input or on error; check Err);
-// the consumer must return the batch via ReleaseBatch once processed,
-// or the producer stalls when the ring runs dry.
-type BatchProducer interface {
-	EventSource
-	AcquireBatch() ([]Event, bool)
-	ReleaseBatch([]Event)
 }
 
 // ReadBatch fills buf from src, using NextBatch when the source
@@ -105,4 +96,5 @@ var (
 	_ BatchSource = (*BinaryScanner)(nil)
 	_ BatchSource = (*Validator)(nil)
 	_ BatchSource = (*Replayer)(nil)
+	_ BatchSource = (*Pipeline)(nil)
 )

@@ -426,7 +426,7 @@ func (v *Validator) RestoreSource(d *ckpt.Dec) error {
 // its own and checkpoint bytes are identical with or without it — a
 // checkpoint written under -progress resumes without it and vice
 // versa. The counters are re-derived from the restored trace position
-// (see progressState.StartAt).
+// (see progressSource.StartAt).
 func (p *progressSource) SnapshotSource(e *ckpt.Enc) error {
 	cs, ok := p.src.(CheckpointableSource)
 	if !ok {

@@ -3,21 +3,27 @@ package trace
 // Pipelined decode
 //
 // Decoding a trace (tokenizing text or uvarint-decoding binary) and
-// analyzing it are independent stages that the scalar loop serializes.
-// Pipeline moves decoding into its own goroutine: the producer pulls
-// batches from the wrapped source into a small ring of recycled
-// buffers and hands them to the consumer through a channel, so parsing
-// the next batch overlaps engine work on the current one. Batches
-// travel through a single FIFO channel and are consumed in order, so
-// the event sequence — and therefore every analysis result — is
-// identical to the scalar path; only wall-clock time changes.
+// analyzing it are independent stages that a plain batch loop
+// serializes. Pipeline moves decoding into its own goroutine: the
+// producer pulls batches from the wrapped source into a small ring of
+// recycled buffers and hands them to the consumer through a channel,
+// so parsing the next batch overlaps engine work on the current one.
+// Batches travel through a single FIFO channel and are consumed in
+// order, so the event sequence — and therefore every analysis result —
+// is identical to the synchronous path; only wall-clock time changes.
+//
+// The consumer reads through the ordinary BatchSource interface:
+// NextBatch copies events out of the current ring buffer and returns
+// that buffer to the decode stage the moment its last event has been
+// copied, so the producer can refill it while the consumer analyzes
+// the copy. One copy per batch (6 KiB at the default size) buys a
+// single source contract for every consumer.
 
 // Pipeline wraps an EventSource with an asynchronous decode stage. It
-// implements BatchProducer (the zero-copy fast path the engine runtime
-// prefers) and the plain EventSource interface. A Pipeline must be
-// Closed if the consumer abandons it before exhaustion, or the decode
-// goroutine leaks; draining it to ok == false shuts the producer down
-// on its own, and Close is then a no-op.
+// implements BatchSource and the plain EventSource interface. A
+// Pipeline must be Closed if the consumer abandons it before
+// exhaustion, or the decode goroutine leaks; draining it to ok ==
+// false shuts the producer down on its own, and Close is then a no-op.
 type Pipeline struct {
 	src     EventSource
 	batches chan []Event  // decoded batches, in trace order
@@ -25,8 +31,8 @@ type Pipeline struct {
 	stop    chan struct{} // closed by Close to cancel the producer
 	done    chan struct{} // closed by the producer on exit
 	srcErr  error         // written by the producer before closing batches
-	cur     []Event       // current batch for the per-event Next view
-	pos     int
+	cur     []Event       // the ring buffer being consumed; nil between buffers
+	pos     int           // next undelivered event in cur
 	closed  bool
 }
 
@@ -88,47 +94,59 @@ func (p *Pipeline) run() {
 	}
 }
 
-// AcquireBatch returns the next decoded batch, blocking on the decode
-// stage if it is behind. ok == false means the source is exhausted or
-// failed; check Err.
-func (p *Pipeline) AcquireBatch() ([]Event, bool) {
+// fill makes cur[pos] the next undelivered event, blocking on the
+// decode stage if it is behind. It reports false once the source is
+// exhausted or failed (check Err), and keeps reporting false after.
+func (p *Pipeline) fill() bool {
+	if p.cur != nil {
+		return true
+	}
 	b, ok := <-p.batches
 	if !ok {
 		// The producer closes batches before done; waiting here makes
 		// srcErr visible to Err the moment exhaustion is reported.
 		<-p.done
+		return false
 	}
-	return b, ok
+	p.cur, p.pos = b, 0
+	return true
 }
 
-// ReleaseBatch returns a batch obtained from AcquireBatch to the ring.
-func (p *Pipeline) ReleaseBatch(b []Event) {
-	select {
-	case p.free <- b[:cap(b)]:
-	default: // ring already full (double release); drop the buffer
+// advance marks n more events of cur delivered and hands cur back to
+// the decode stage once all of them are.
+func (p *Pipeline) advance(n int) {
+	p.pos += n
+	if p.pos == len(p.cur) {
+		p.free <- p.cur[:cap(p.cur)]
+		p.cur, p.pos = nil, 0
 	}
 }
 
-// Next is the per-event view, for consumers that do not batch.
+// NextBatch implements BatchSource: it copies decoded events into buf
+// until buf is full or the source ends, so only the final batch is
+// short.
+func (p *Pipeline) NextBatch(buf []Event) (int, bool) {
+	n := 0
+	for n < len(buf) && p.fill() {
+		c := copy(buf[n:], p.cur[p.pos:])
+		p.advance(c)
+		n += c
+	}
+	return n, n > 0
+}
+
+// Next is the per-event view.
 func (p *Pipeline) Next() (Event, bool) {
-	for p.pos >= len(p.cur) {
-		if p.cur != nil {
-			p.ReleaseBatch(p.cur)
-			p.cur = nil
-		}
-		b, ok := p.AcquireBatch()
-		if !ok {
-			return Event{}, false
-		}
-		p.cur, p.pos = b, 0
+	if !p.fill() {
+		return Event{}, false
 	}
 	ev := p.cur[p.pos]
-	p.pos++
+	p.advance(1)
 	return ev, true
 }
 
 // Err returns the wrapped source's error. It is meaningful once
-// AcquireBatch or Next has reported false (the EventSource contract);
+// NextBatch or Next has reported false (the EventSource contract);
 // calling it earlier may miss an error the producer has not hit yet.
 func (p *Pipeline) Err() error {
 	select {
@@ -157,8 +175,3 @@ func (p *Pipeline) Close() {
 	for range p.batches {
 	}
 }
-
-var (
-	_ EventSource   = (*Pipeline)(nil)
-	_ BatchProducer = (*Pipeline)(nil)
-)

@@ -67,24 +67,40 @@ func TestPipelinePreservesOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineBatchConsumption exercises the zero-copy Acquire/Release
-// contract the engine runtime uses.
+// TestPipelineBatchConsumption reads a pipeline through NextBatch
+// with a buffer that does not divide the pipeline's batch size, so
+// copies straddle ring buffers: every batch but the last must be full,
+// the events must match the synchronous scanner's, and NextBatch must
+// keep reporting exhaustion after the end.
 func TestPipelineBatchConsumption(t *testing.T) {
 	text := pipelineText(3000)
 	want := drain(t, NewScanner(strings.NewReader(text)))
 	p := NewPipeline(NewScanner(strings.NewReader(text)), 3, 128)
 	defer p.Close()
+	buf := make([]Event, 100)
 	var got []Event
+	short := 0
 	for {
-		b, ok := p.AcquireBatch()
+		n, ok := p.NextBatch(buf)
 		if !ok {
 			break
 		}
-		got = append(got, b...)
-		p.ReleaseBatch(b)
+		if short > 0 {
+			t.Fatalf("batch of %d events after a short batch of %d", n, short)
+		}
+		if n < len(buf) {
+			short = n
+		}
+		got = append(got, buf[:n]...)
 	}
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if short != len(want)%len(buf) {
+		t.Fatalf("last batch holds %d events, want %d", short, len(want)%len(buf))
+	}
+	if n, ok := p.NextBatch(buf); n != 0 || ok {
+		t.Fatalf("NextBatch after exhaustion = %d, %v; want 0, false", n, ok)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d events, want %d", len(got), len(want))

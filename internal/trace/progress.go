@@ -8,9 +8,9 @@ import "time"
 // pass: NewProgressSource wraps any event source so the consumer's own
 // pulls drive periodic callbacks. Counting happens at batch
 // granularity on the consuming goroutine — no extra goroutine, no
-// locks, and the wrapped source's batch capabilities (including the
-// pipelined decoder's zero-copy hand-off) are preserved, so wrapping
-// changes neither results nor consumption mode.
+// locks, and the wrapper is itself a BatchSource that forwards each
+// NextBatch call through ReadBatch, so wrapping changes neither
+// results nor batch sizes.
 
 // ProgressFunc receives one progress report: the events consumed so
 // far and the observed rate in events/second since the previous report
@@ -26,15 +26,13 @@ func NewProgressSource(src EventSource, every uint64, fn ProgressFunc) EventSour
 	if every == 0 {
 		every = 1 << 20
 	}
-	st := progressState{every: every, next: every, fn: fn, last: time.Now()}
-	if p, ok := src.(BatchProducer); ok {
-		return &progressProducer{src: p, progressState: st}
-	}
-	return &progressSource{src: src, progressState: st}
+	return &progressSource{src: src, every: every, next: every, fn: fn, last: time.Now()}
 }
 
-// progressState is the shared counting logic.
-type progressState struct {
+// progressSource wraps any source, batched or not, and counts the
+// events it delivers.
+type progressSource struct {
+	src         EventSource
 	every, next uint64
 	count       uint64
 	lastCount   uint64
@@ -43,7 +41,7 @@ type progressState struct {
 }
 
 // tick accounts n consumed events and fires due reports.
-func (p *progressState) tick(n int) {
+func (p *progressSource) tick(n int) {
 	p.count += uint64(n)
 	if p.count < p.next {
 		return
@@ -64,16 +62,10 @@ func (p *progressState) tick(n int) {
 // reports continue the interrupted run's event numbering and cadence.
 // The rate baseline restarts (the time spent before the interruption
 // is not this run's).
-func (p *progressState) StartAt(events uint64) {
+func (p *progressSource) StartAt(events uint64) {
 	p.count, p.lastCount = events, events
 	p.next = events - events%p.every + p.every
 	p.last = time.Now()
-}
-
-// progressSource wraps a plain or batched source.
-type progressSource struct {
-	src EventSource
-	progressState
 }
 
 func (p *progressSource) Next() (Event, bool) {
@@ -92,32 +84,4 @@ func (p *progressSource) NextBatch(buf []Event) (int, bool) {
 
 func (p *progressSource) Err() error { return p.src.Err() }
 
-// progressProducer preserves the zero-copy batch-ownership contract of
-// a wrapped BatchProducer (the pipelined decoder).
-type progressProducer struct {
-	src BatchProducer
-	progressState
-}
-
-func (p *progressProducer) AcquireBatch() ([]Event, bool) {
-	b, ok := p.src.AcquireBatch()
-	p.tick(len(b))
-	return b, ok
-}
-
-func (p *progressProducer) ReleaseBatch(b []Event) { p.src.ReleaseBatch(b) }
-
-func (p *progressProducer) Next() (Event, bool) {
-	ev, ok := p.src.Next()
-	if ok {
-		p.tick(1)
-	}
-	return ev, ok
-}
-
-func (p *progressProducer) Err() error { return p.src.Err() }
-
-var (
-	_ BatchSource   = (*progressSource)(nil)
-	_ BatchProducer = (*progressProducer)(nil)
-)
+var _ BatchSource = (*progressSource)(nil)

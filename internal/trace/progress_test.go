@@ -65,25 +65,24 @@ func TestProgressSourceScalar(t *testing.T) {
 	}
 }
 
-// TestProgressProducer pins that a wrapped BatchProducer stays a
-// producer (zero-copy path) and counts acquired batches.
+// TestProgressProducer counts progress over the pipelined decoder,
+// whose producer goroutine fills the batches the wrapper counts.
 func TestProgressProducer(t *testing.T) {
 	p := NewPipeline(NewReplayer(progressTrace(1000)), 2, 100)
 	defer p.Close()
 	var reports int
 	src := NewProgressSource(p, 300, func(uint64, float64) { reports++ })
-	bp, ok := src.(BatchProducer)
-	if !ok {
-		t.Fatal("progress wrapper dropped the producer capability")
-	}
+	buf := make([]Event, 64)
 	total := 0
 	for {
-		b, ok := bp.AcquireBatch()
+		n, ok := ReadBatch(src, buf)
+		total += n
 		if !ok {
 			break
 		}
-		total += len(b)
-		bp.ReleaseBatch(b)
+	}
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if total != 1000 {
 		t.Fatalf("consumed %d events, want 1000", total)

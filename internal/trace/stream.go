@@ -11,11 +11,10 @@ import (
 // EventSource streams trace events one at a time: Next reports the
 // next event until the input is exhausted or fails, and Err returns
 // the first error (nil at clean EOF). The text Scanner and the
-// BinaryScanner both implement it, and the engine runtime consumes it
-// directly (Runtime.ProcessSource), so arbitrarily large traces are
-// analyzable in one pass without materialization. Sources that can
-// deliver events in bulk additionally implement BatchSource, which the
-// runtime prefers.
+// BinaryScanner both implement it, and consumers read it in batches
+// through ReadBatch, so arbitrarily large traces are analyzable in one
+// pass without materialization. Sources that can deliver events in
+// bulk additionally implement BatchSource, which ReadBatch prefers.
 type EventSource interface {
 	Next() (Event, bool)
 	Err() error

@@ -177,8 +177,9 @@ func TestParallelOptionConflicts(t *testing.T) {
 }
 
 // TestParallelNoAnalysis covers the pure partial-order configuration
-// under workers, and the explicit-pipeline combination (the decoder
-// feeds the coordinator zero-copy).
+// under workers, and the explicit-pipeline combination (the driver
+// loop copies each decoded batch out of the pipeline's ring and feeds
+// it to the worker group).
 func TestParallelNoAnalysis(t *testing.T) {
 	tr := treeclock.GenerateStar(6, 5000, 11)
 	var text bytes.Buffer

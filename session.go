@@ -7,19 +7,25 @@ package treeclock
 // exactly one of two modes, bound by the first driving call:
 //
 //   - Pull: Run(src) drains an event source to completion, the way the
-//     classic entry points always have. The session owns the loop,
-//     honoring cancellation, checkpoint cadence and progress reporting.
+//     classic entry points always have, reading it in 512-event
+//     batches through one reused buffer.
 //   - Push: Feed(batch) hands the session pre-decoded events as they
 //     arrive — from a socket, a log shipper, an in-process producer —
 //     with Snapshot/Close under the caller's control. The trace has no
 //     end until the caller says so; Result assembles what was seen.
 //
-// Both modes drive the same replicas through the same assembler, so a
-// pushed stream's result is byte-identical to a pulled run of the same
-// events (the differential suites pin this). Push-mode checkpoints
-// record the delivered-event frontier in place of a decoder state; a
-// resumed push session reports the position to re-feed from via
-// Resumed.
+// Both modes share one lifecycle: start restores a resumed session,
+// starts the worker group of a sharded one and arms the checkpoint
+// cadence; feed is the one per-batch step — hand the batch to the
+// replica or the worker group, advance the delivered count, take the
+// cadence checkpoint — that Run calls once per decoded batch and Feed
+// once per pushed one; stop drains the worker group. Cancellation is
+// checked before every batch, by one helper. A pushed stream's result
+// is therefore byte-identical to a pulled run of the same events (the
+// differential suites pin this). Pull-mode checkpoints record the
+// wrapped decoder's state; push-mode checkpoints record the
+// delivered-event frontier in its place, and a resumed push session
+// reports the position to re-feed from via Resumed.
 //
 // A Session is not safe for concurrent use: one goroutine feeds it.
 // Distinct sessions are fully independent and may run concurrently.
@@ -82,16 +88,21 @@ type Session struct {
 	sinks    []WorkStats
 	parallel bool
 
-	// Push-mode state, bound on the first Feed/Snapshot/Resumed call.
+	// Driving state, bound by start. frontier counts the events
+	// delivered so far (the absolute trace position of the next one)
+	// and is the push-mode checkpoint source; ckptSrc is the cadence
+	// checkpoint's source: the wrapped decoder in pull mode, &frontier
+	// in push mode.
 	group    *parallel.Group
-	feed     *feedSource
+	frontier feedSource
+	ckptSrc  trace.CheckpointableSource
 	scratch  bytes.Buffer
 	nextCkpt uint64
 
 	// Pull-mode bookkeeping.
 	scanner trace.InternCapable // capped interner, for result accounting
 
-	err    error // sticky push-mode failure
+	err    error // sticky driving failure
 	result *StreamResult
 }
 
@@ -181,7 +192,8 @@ func buildEngine(info EngineInfo, cfg *streamConfig, sink *WorkStats, owns func(
 // Run fails with ErrSessionRan, and Feed fails with ErrFeedAfterRun.
 // On a driver error (cancellation, decode failure, a checkpoint sink
 // failure) the partial StreamResult is returned alongside the error,
-// internally consistent for exactly the events processed.
+// internally consistent for exactly the events processed. The error
+// is sticky: Result returns it too.
 func (s *Session) Run(src EventSource) (*StreamResult, error) {
 	switch s.mode {
 	case sessionClosed:
@@ -192,28 +204,24 @@ func (s *Session) Run(src EventSource) (*StreamResult, error) {
 		return nil, ErrRunAfterFeed
 	}
 	s.mode = sessionPull
+	cfg := &s.cfg
 	// Interner eviction lives in the text tokenizer; the cap is applied
 	// to the unwrapped scanner before any input is consumed, and the
 	// scanner is remembered so the result can report the interner's
 	// retained-state accounting.
-	if s.cfg.internCap > 0 {
+	if cfg.internCap > 0 {
 		sc, ok := src.(trace.InternCapable)
 		if !ok {
-			return nil, fmt.Errorf("treeclock: WithInternCap requires text input (source %T has no interned names)", src)
+			s.err = fmt.Errorf("treeclock: WithInternCap requires text input (source %T has no interned names)", src)
+			return nil, s.err
 		}
 		s.scanner = sc
-		s.scanner.SetInternCap(s.cfg.internCap)
+		s.scanner.SetInternCap(cfg.internCap)
 	}
-	if s.parallel {
-		return s.runSharded(src)
-	}
-	return s.runSequential(src)
-}
-
-// runSequential is the single-replica pull driver.
-func (s *Session) runSequential(src trace.EventSource) (*StreamResult, error) {
-	cfg := &s.cfg
 	if cfg.validate {
+		// Validation is sequential by nature (lock discipline follows
+		// trace order) and runs on the driving goroutine, exactly once,
+		// however many replicas consume the stream.
 		src = trace.NewValidator(src)
 	}
 	if cfg.pipeline > 0 {
@@ -226,106 +234,126 @@ func (s *Session) runSequential(src trace.EventSource) (*StreamResult, error) {
 	if cfg.progressFn != nil {
 		src = wrapProgress(src, cfg)
 	}
-	e := s.engines[0]
-	if cfg.ckptSink != nil || cfg.resume != nil {
-		cs, err := asCheckpointable(src)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.resume != nil {
-			if _, err := restoreCheckpoint(cfg, s.info.Name, 1, cs, s.engines); err != nil {
-				return nil, err
-			}
-		}
-	}
-	err := driveSequential(e, src, cfg, s.info.Name)
-	res := s.assembleResult()
-	if err != nil {
-		// The result still carries the consistent partial state (events
-		// processed, retained-state accounting) for callers that want it
-		// — a cancelled run's progress, a crashed run's accounting.
-		return res, err
-	}
-	return res, nil
-}
-
-// runSharded is the multi-replica pull driver: the coordinator
-// sequences batches into every worker's ring in trace order, and the
-// merged result is byte-identical to the sequential run's. See
-// internal/parallel for the transport design.
-func (s *Session) runSharded(src trace.EventSource) (*StreamResult, error) {
-	cfg := &s.cfg
-	n := len(s.engines)
-	if cfg.validate {
-		// Validation is sequential by nature (lock discipline follows
-		// trace order) and runs on the coordinator side, exactly once.
-		src = trace.NewValidator(src)
-	}
-	if cfg.pipeline > 0 {
-		p := trace.NewPipeline(src, cfg.pipeline, trace.DefaultBatchSize)
-		defer p.Close()
-		src = p
-	}
-	if cfg.progressFn != nil {
-		src = wrapProgress(src, cfg)
-	}
-
-	// Checkpoint/resume: every replica's state goes into (and comes
-	// back from) the checkpoint, in worker order, and the coordinator
-	// takes snapshots at barriers where all workers stand at the same
-	// trace position.
-	var (
-		startAt uint64
-		cs      trace.CheckpointableSource
-	)
+	var cs trace.CheckpointableSource
 	if cfg.ckptSink != nil || cfg.resume != nil {
 		var err error
-		cs, err = asCheckpointable(src)
-		if err != nil {
+		if cs, err = asCheckpointable(src); err != nil {
+			s.err = err
 			return nil, err
 		}
-		if cfg.resume != nil {
-			if startAt, err = restoreCheckpoint(cfg, s.info.Name, n, cs, s.engines); err != nil {
-				return nil, err
-			}
+	}
+	if err := s.start(cs); err != nil {
+		s.err = err
+		return nil, err
+	}
+	buf := make([]trace.Event, trace.DefaultBatchSize)
+	for !s.cancelled() {
+		n, ok := trace.ReadBatch(src, buf)
+		if s.feed(buf[:n]) != nil {
+			break
+		}
+		if !ok {
+			s.err = src.Err()
+			break
 		}
 	}
-	replicas := make([]parallel.Replica, n)
-	for w, e := range s.engines {
-		replicas[w] = e
-	}
-	popts := parallel.Options{Ctx: cfg.ctx, StartAt: startAt}
-	if cfg.ckptSink != nil {
-		popts.CheckpointEvery = cfg.ckptEvery
-		popts.Checkpoint = func(events uint64) error {
-			return emitCheckpoint(cfg, &s.scratch, s.info.Name, n, events, cs, s.engines)
-		}
-	}
+	s.stop()
+	// After a failure the replicas have processed every batch fed
+	// before it, so the partial result is internally consistent:
+	// counts, merged MemStats and metadata all describe exactly the
+	// events delivered.
+	return s.assembleResult(), s.err
+}
 
-	events, err := parallel.Run(src, replicas, popts)
-	if err == nil {
+// start binds the driving state for either mode: it restores a
+// resumed session from its checkpoint through src, starts the worker
+// group of a sharded session at the restored position, and arms the
+// checkpoint cadence. src is the checkpoint source: the wrapped
+// decoder in pull mode, the feed frontier in push mode.
+func (s *Session) start(src trace.CheckpointableSource) error {
+	cfg := &s.cfg
+	if cfg.resume != nil {
+		events, err := restoreCheckpoint(cfg, s.info.Name, len(s.engines), src, s.engines)
+		if err != nil {
+			return err
+		}
+		s.frontier.delivered = events
+	}
+	if s.parallel {
+		replicas := make([]parallel.Replica, len(s.engines))
 		for w, e := range s.engines {
-			if e.Events() != events {
-				return nil, fmt.Errorf("treeclock: internal error: worker %d processed %d of %d events", w, e.Events(), events)
-			}
+			replicas[w] = e
+		}
+		s.group = parallel.NewGroup(replicas, s.frontier.delivered)
+	}
+	if cfg.ckptSink != nil {
+		s.ckptSrc = src
+		s.nextCkpt = nextBoundary(s.frontier.delivered, cfg.ckptEvery)
+	}
+	return nil
+}
+
+// cancelled reports whether the session's context is done, recording
+// its error as the sticky failure if so. Run checks it before reading
+// each batch and Feed before taking one.
+func (s *Session) cancelled() bool {
+	if s.cfg.ctx == nil {
+		return false
+	}
+	select {
+	case <-s.cfg.ctx.Done():
+		s.err = s.cfg.ctx.Err()
+		return true
+	default:
+		return false
+	}
+}
+
+// feed is the per-batch step of both modes: hand the batch to the
+// replica (on this goroutine) or to the worker group, advance the
+// delivered count, and take the cadence checkpoint when a boundary
+// has been crossed. A checkpoint failure becomes the sticky error.
+func (s *Session) feed(events []trace.Event) error {
+	if s.group != nil {
+		s.group.Feed(events)
+	} else if len(events) > 0 {
+		s.engines[0].ProcessBatchAt(s.frontier.delivered, events)
+	}
+	s.frontier.delivered += uint64(len(events))
+	if s.cfg.ckptSink != nil && s.frontier.delivered >= s.nextCkpt {
+		if err := s.checkpoint(); err != nil {
+			s.err = err
+			return err
+		}
+		s.nextCkpt = nextBoundary(s.frontier.delivered, s.cfg.ckptEvery)
+	}
+	return nil
+}
+
+// stop drains and stops the worker group, if one runs, and checks
+// that every replica processed exactly the delivered events; on a
+// session without an earlier failure a mismatch becomes the sticky
+// error. Run, Result and Close end a session through it.
+func (s *Session) stop() {
+	if s.group == nil {
+		return
+	}
+	s.group.Close()
+	s.group = nil
+	if s.err != nil {
+		return
+	}
+	for w, e := range s.engines {
+		if e.Events() != s.frontier.delivered {
+			s.err = fmt.Errorf("treeclock: internal error: worker %d processed %d of %d events", w, e.Events(), s.frontier.delivered)
+			return
 		}
 	}
-	res := s.assembleResult()
-	if err != nil {
-		// The workers have drained every batch dispatched before the
-		// failure (cancellation, a mid-stream decode error, a checkpoint
-		// write error), so the partial result is internally consistent:
-		// counts, merged MemStats and metadata all describe exactly the
-		// events delivered.
-		return res, err
-	}
-	return res, nil
 }
 
 // bindPush transitions an idle session into push mode: reject the
-// options that only make sense around a source decoder, create the
-// feed frontier, restore a resumed session's state, and start the
-// worker group for sharded sessions.
+// options that only make sense around a source decoder, then start
+// the session with the feed frontier as its checkpoint source.
 func (s *Session) bindPush() error {
 	switch s.mode {
 	case sessionClosed:
@@ -346,24 +374,8 @@ func (s *Session) bindPush() error {
 	case cfg.internCap > 0:
 		return fmt.Errorf("treeclock: WithInternCap requires text input (push sessions feed decoded events)")
 	}
-	s.feed = &feedSource{}
-	var startAt uint64
-	if cfg.resume != nil {
-		events, err := restoreCheckpoint(cfg, s.info.Name, len(s.engines), s.feed, s.engines)
-		if err != nil {
-			return err
-		}
-		startAt = events
-	}
-	if s.parallel {
-		replicas := make([]parallel.Replica, len(s.engines))
-		for w, e := range s.engines {
-			replicas[w] = e
-		}
-		s.group = parallel.NewGroup(replicas, parallel.Options{StartAt: startAt})
-	}
-	if cfg.ckptSink != nil {
-		s.nextCkpt = nextBoundary(startAt, cfg.ckptEvery)
+	if err := s.start(&s.frontier); err != nil {
+		return err
 	}
 	s.mode = sessionPush
 	return nil
@@ -379,7 +391,7 @@ func (s *Session) Resumed() (uint64, error) {
 	if err := s.bindPush(); err != nil {
 		return 0, err
 	}
-	return s.feed.delivered, nil
+	return s.frontier.delivered, nil
 }
 
 // Feed pushes a batch of pre-decoded events into the session, binding
@@ -399,29 +411,10 @@ func (s *Session) Feed(events []Event) error {
 	if s.finished {
 		return ErrSessionFinished
 	}
-	if s.cfg.ctx != nil {
-		select {
-		case <-s.cfg.ctx.Done():
-			s.err = s.cfg.ctx.Err()
-			return s.err
-		default:
-		}
+	if s.cancelled() {
+		return s.err
 	}
-	if s.group != nil {
-		s.group.Feed(events)
-	} else if len(events) > 0 {
-		e := s.engines[0]
-		e.ProcessBatchAt(e.Events(), events)
-	}
-	s.feed.delivered += uint64(len(events))
-	if s.cfg.ckptSink != nil && s.feed.delivered >= s.nextCkpt {
-		if err := s.checkpoint(); err != nil {
-			s.err = err
-			return err
-		}
-		s.nextCkpt = nextBoundary(s.feed.delivered, s.cfg.ckptEvery)
-	}
-	return nil
+	return s.feed(events)
 }
 
 // checkpoint emits one cadence checkpoint through the configured sink,
@@ -429,12 +422,12 @@ func (s *Session) Feed(events []Event) error {
 // delivered frontier.
 func (s *Session) checkpoint() error {
 	emit := func(events uint64) error {
-		return emitCheckpoint(&s.cfg, &s.scratch, s.info.Name, len(s.engines), events, s.feed, s.engines)
+		return emitCheckpoint(&s.cfg, &s.scratch, s.info.Name, len(s.engines), events, s.ckptSrc, s.engines)
 	}
 	if s.group != nil {
 		return s.group.Barrier(emit)
 	}
-	return emit(s.feed.delivered)
+	return emit(s.frontier.delivered)
 }
 
 // Snapshot writes a complete checkpoint of the session to w — the
@@ -453,31 +446,23 @@ func (s *Session) Snapshot(w io.Writer) error {
 		return s.err
 	}
 	write := func(events uint64) error {
-		return writeCheckpoint(w, s.info.Name, &s.cfg, len(s.engines), events, s.feed, s.engines)
+		return writeCheckpoint(w, s.info.Name, &s.cfg, len(s.engines), events, &s.frontier, s.engines)
 	}
 	if s.group != nil {
 		return s.group.Barrier(write)
 	}
-	return write(s.feed.delivered)
+	return write(s.frontier.delivered)
 }
 
 // Events returns the number of trace events the session has accepted
 // so far (including any restored by ResumeFrom). Zero for an idle
 // or freshly resumed-at-zero session.
-func (s *Session) Events() uint64 {
-	if s.feed != nil {
-		return s.feed.delivered
-	}
-	if len(s.engines) > 0 && s.mode == sessionPull {
-		return s.engines[0].Events()
-	}
-	return 0
-}
+func (s *Session) Events() uint64 { return s.frontier.delivered }
 
 // Mem reports the session's current retained-state accounting, merged
 // across replicas, when the engine implements the memory-reporting
 // extension (currently the "wcp-*" orders); ok is false otherwise.
-// On a sharded push session the worker group is quiesced for the read.
+// While a worker group runs it is quiesced for the read.
 // This is the budget-inspection hook a multi-tenant host throttles and
 // evicts on.
 func (s *Session) Mem() (ms MemStats, ok bool) {
@@ -493,7 +478,7 @@ func (s *Session) Mem() (ms MemStats, ok bool) {
 		}
 		return nil
 	}
-	if s.group != nil && s.mode == sessionPush && !s.finished {
+	if s.group != nil {
 		s.group.Barrier(read)
 		return ms, ok
 	}
@@ -522,10 +507,7 @@ func (s *Session) Result() (*StreamResult, error) {
 	}
 	if s.mode == sessionPush && !s.finished {
 		s.finished = true
-		if s.group != nil {
-			s.group.Close()
-			s.group = nil
-		}
+		s.stop()
 	}
 	return s.assembleResult(), s.err
 }
@@ -539,10 +521,7 @@ func (s *Session) Close() error {
 	if s.mode == sessionClosed {
 		return nil
 	}
-	if s.group != nil {
-		s.group.Close()
-		s.group = nil
-	}
+	s.stop()
 	s.mode = sessionClosed
 	return nil
 }
@@ -595,11 +574,12 @@ func (s *Session) assembleResult() *StreamResult {
 	return res
 }
 
-// feedSource is the CheckpointableSource of a push-mode session: the
-// events arrive pre-decoded from the caller, so the only decode
-// frontier worth recording is the count of events delivered — a
-// resumed feeder re-ships from there. It never produces events itself
-// (the session's Feed path bypasses the source abstraction entirely).
+// feedSource is the session's delivered-event count and the
+// CheckpointableSource of a push-mode session: the events arrive
+// pre-decoded from the caller, so the only decode frontier worth
+// recording is the count of events delivered — a resumed feeder
+// re-ships from there. It never produces events itself (Feed hands
+// batches to the session's per-batch step directly).
 type feedSource struct {
 	delivered uint64 // events accepted so far (absolute trace position)
 }

@@ -8,6 +8,7 @@ package treeclock
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -254,6 +255,29 @@ func TestSessionLifecycleErrors(t *testing.T) {
 		// Result stays idempotent after sealing.
 		if _, err := s.Result(); err != nil {
 			t.Fatalf("second Result: %v", err)
+		}
+	})
+	t.Run("result after failed run", func(t *testing.T) {
+		// Run's error is sticky: Result after the failed Run returns it
+		// alongside the partial result, in both drivers.
+		for _, workers := range []int{0, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			s, err := Open("hb-tree", WithContext(ctx), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(NewTraceReplayer(tr)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: Run err = %v, want context.Canceled", workers, err)
+			}
+			res, err := s.Result()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: Result err = %v, want the Run's context.Canceled", workers, err)
+			}
+			if res == nil || res.Events != 0 {
+				t.Fatalf("workers=%d: Result = %+v, want the zero-event partial result", workers, res)
+			}
+			s.Close()
 		}
 	})
 	t.Run("close idempotent", func(t *testing.T) {

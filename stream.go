@@ -8,7 +8,6 @@ package treeclock
 // Engines and EngineInfos.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -212,11 +211,9 @@ type Progress struct {
 // every `every` events (at batch granularity; every == 0 selects one
 // report per million events) with the running event count and the
 // events/second rate since the previous report. The callback runs
-// synchronously on the goroutine that consumes the decoded stream —
-// the caller's for plain and pipelined runs (the wrapper counts
-// batches as the engine acquires them), the coordinator's for sharded
-// (WithWorkers) runs — so it must be cheap and, under workers, must
-// not assume the caller's goroutine.
+// synchronously on the goroutine that calls Run (RunStream's caller),
+// as the session's driver loop reads each batch — pipelined and
+// sharded runs included — so it must be cheap.
 func WithProgress(every uint64, fn func(Progress)) StreamOption {
 	return func(c *streamConfig) { c.progressEvery, c.progressFn = every, fn }
 }
@@ -260,12 +257,12 @@ type StreamResult struct {
 // exposes (see StreamResult.Mem and the engine.MemReporter extension).
 type MemStats = engine.MemStats
 
-// streamEngine is the non-generic view RunStream drives; a
-// runtimeAdapter instantiates it per clock type. ProcessBatchAt and
-// Acc serve the sharded path: parallel workers are fed positioned
-// batches and their accumulators merged afterwards.
+// streamEngine is the non-generic view a Session drives; a
+// runtimeAdapter instantiates it per clock type. ProcessBatchAt is
+// every driver's entry point: each batch, pulled or pushed, sequential
+// or sharded, arrives with its trace position. Acc serves the sharded
+// merge: the workers' accumulators fold together at assembly.
 type streamEngine interface {
-	ProcessSource(trace.EventSource) error
 	ProcessBatchAt(base uint64, events []trace.Event)
 	Events() uint64
 	Meta() trace.Meta
@@ -286,9 +283,6 @@ type runtimeAdapter[C vt.Clock[C]] struct {
 	timestamp func(t vt.TID, dst vt.Vector) vt.Vector
 }
 
-func (a *runtimeAdapter[C]) ProcessSource(src trace.EventSource) error {
-	return a.rt.ProcessSource(src)
-}
 func (a *runtimeAdapter[C]) ProcessBatchAt(base uint64, events []trace.Event) {
 	a.rt.ProcessBatchAt(base, events)
 }
@@ -422,16 +416,16 @@ func autoPipelineDepth(cfg *streamConfig, maxprocs int) int {
 // endless workload generators (GenerateHotLockStream and friends,
 // capped with LimitEvents). StreamBinary is ignored (the source is
 // already decoded); validation, pipelining and sharding apply as in
-// RunStream. A source without batch support is drained one event at a
-// time.
+// RunStream. A source without batch support is still read in batches,
+// gathered one Next call at a time.
 func RunStreamSource(engineName string, src EventSource, opts ...StreamOption) (*StreamResult, error) {
 	return runStream(engineName, src, newConfig(opts))
 }
 
 // runStream is the single funnel behind both RunStream entry points:
 // open a session over the configuration, drain src through it
-// pull-mode, close. Validation, the drivers and result assembly all
-// live on Session.
+// pull-mode, close. Validation, the driver loop and result assembly
+// all live on Session.
 func runStream(engineName string, src trace.EventSource, cfg streamConfig) (*StreamResult, error) {
 	s, err := newSession(engineName, cfg)
 	if err != nil {
@@ -439,49 +433,6 @@ func runStream(engineName string, src trace.EventSource, cfg streamConfig) (*Str
 	}
 	defer s.Close()
 	return s.Run(src)
-}
-
-// driveSequential is the explicit batch loop the sequential path runs
-// when it needs per-batch control (cancellation checks, checkpoint
-// boundaries); results are identical to Runtime.ProcessSource. The
-// plain configuration keeps the runtime's own loop, whose
-// BatchProducer fast path the pipelined decoder relies on.
-func driveSequential(e streamEngine, src trace.EventSource, cfg *streamConfig, engineName string) error {
-	if cfg.ctx == nil && cfg.ckptSink == nil {
-		return e.ProcessSource(src)
-	}
-	var (
-		buf     = make([]trace.Event, trace.DefaultBatchSize)
-		scratch bytes.Buffer
-		next    uint64
-		cs      trace.CheckpointableSource
-	)
-	if cfg.ckptSink != nil {
-		cs, _ = asCheckpointable(src) // validated by the caller
-		next = nextBoundary(e.Events(), cfg.ckptEvery)
-	}
-	for {
-		if cfg.ctx != nil {
-			select {
-			case <-cfg.ctx.Done():
-				return cfg.ctx.Err()
-			default:
-			}
-		}
-		n, ok := trace.ReadBatch(src, buf)
-		if n > 0 {
-			e.ProcessBatchAt(e.Events(), buf[:n])
-		}
-		if cs != nil && e.Events() >= next {
-			if err := emitCheckpoint(cfg, &scratch, engineName, 1, e.Events(), cs, []streamEngine{e}); err != nil {
-				return err
-			}
-			next = nextBoundary(e.Events(), cfg.ckptEvery)
-		}
-		if !ok {
-			return src.Err()
-		}
-	}
 }
 
 // nextBoundary returns the first checkpoint threshold past events.

@@ -93,8 +93,9 @@ type EventSource = trace.EventSource
 
 // BatchEventSource is an EventSource that also delivers events in
 // batches into a caller-owned buffer, amortizing per-event call
-// overhead. Both scanners, the validator and the trace replayer
-// implement it, and the engine runtime consumes batches automatically.
+// overhead. Both scanners, the validator, the trace replayer and the
+// pipelined decoder implement it, and the session's driver loop reads
+// batches automatically.
 type BatchEventSource = trace.BatchSource
 
 // TraceReplayer streams a materialized trace through the same
