@@ -66,8 +66,9 @@ func checkGoroutines(t *testing.T, base int) {
 }
 
 // TestCancelStream covers WithContext over the session's one driver
-// loop in each source and replica shape: a synchronous decoder into
-// one replica, the pipelined decoder, and the sharded worker group.
+// loop in each replica shape: one replica inline, one behind the
+// worker group (the pipelined decode/analysis overlap), and the
+// sharded worker group.
 // Each run must stop shortly after cancellation, return the partial
 // result alongside ctx.Err(), and leave no goroutines behind.
 func TestCancelStream(t *testing.T) {
@@ -87,12 +88,12 @@ func TestCancelStream(t *testing.T) {
 
 	t.Run("sequential", func(t *testing.T) {
 		run(t, func(opts ...StreamOption) (*StreamResult, error) {
-			return RunStream("wcp-tree", bytes.NewReader(text), opts...)
+			return RunStreamSource("wcp-tree", NewTraceScanner(bytes.NewReader(text)), opts...)
 		})
 	})
 	t.Run("pipelined", func(t *testing.T) {
 		run(t, func(opts ...StreamOption) (*StreamResult, error) {
-			opts = append(opts, WithPipeline(2))
+			opts = append(opts, WithWorkers(1))
 			return RunStream("wcp-tree", bytes.NewReader(text), opts...)
 		})
 	})
@@ -116,7 +117,7 @@ func TestCancelBeforeStart(t *testing.T) {
 			var res *StreamResult
 			var err error
 			if mode == "sequential" {
-				res, err = RunStream("hb-tree", bytes.NewReader(text), WithContext(ctx))
+				res, err = RunStreamSource("hb-tree", NewTraceScanner(bytes.NewReader(text)), WithContext(ctx))
 			} else {
 				res, err = RunStream("hb-tree", bytes.NewReader(text),
 					WithContext(ctx), WithWorkers(2))

@@ -148,9 +148,11 @@ func syncDir(dir string) error {
 // checkpoint with ResumeFrom, and its results are byte-identical to an
 // uninterrupted run's.
 //
-// Checkpointing is incompatible with WithPipeline (the asynchronous
-// decoder's in-flight state cannot be serialized); the automatic
-// pipeline selection stays synchronous when checkpointing is on.
+// A worker-group run (WithWorkers, or RunStream's own pick for text
+// input on a multi-core host) checkpoints at a barrier: every worker
+// pauses at the same trace position while the replicas are
+// serialized. One worker writes the same bytes as the inline run, so
+// a checkpoint from either resumes in the other.
 func WithCheckpoint(every uint64, sink CheckpointSink) StreamOption {
 	return func(c *streamConfig) {
 		if every == 0 {
@@ -164,9 +166,11 @@ func WithCheckpoint(every uint64, sink CheckpointSink) StreamOption {
 // trace input is consumed: the trace reader is fast-forwarded to the
 // checkpoint's byte offset and the engine continues from the restored
 // state. The run configuration — engine name, analysis and validation
-// switches, worker count, caps — must match the
-// checkpointed run's, and the trace reader must serve the same input;
-// mismatches fail with a descriptive error. A corrupt or truncated
+// switches, replica count, caps — must match the checkpointed run's,
+// and the trace reader must serve the same input; mismatches fail with
+// a descriptive error. The replica count is the worker count of a
+// sharded run and one otherwise, so one worker and the inline run
+// resume each other's checkpoints. A corrupt or truncated
 // checkpoint fails with an error wrapping ErrCorruptCheckpoint; the
 // trace is never touched in that case.
 func ResumeFrom(r io.Reader) StreamOption {
@@ -174,10 +178,10 @@ func ResumeFrom(r io.Reader) StreamOption {
 }
 
 // WithContext cancels the run when ctx does: the streaming loop stops
-// at the next batch boundary, sharded workers and the pipelined
-// decoder drain and exit (no goroutine leaks), and the run returns the
-// partial StreamResult alongside ctx.Err(). The partial result covers
-// exactly the events processed before cancellation.
+// at the next batch boundary, the worker group (if any) drains and
+// exits (no goroutine leaks), and the run returns the partial
+// StreamResult alongside ctx.Err(). The partial result covers exactly
+// the events processed before cancellation.
 func WithContext(ctx context.Context) StreamOption {
 	return func(c *streamConfig) { c.ctx = ctx }
 }
@@ -279,12 +283,6 @@ func restoreCheckpoint(cfg *streamConfig, name string, shards int, src trace.Che
 	}
 	if err := src.RestoreSource(d); err != nil {
 		return 0, err
-	}
-	// Observer wrappers (progress reporting) contribute no checkpoint
-	// state; re-seed their counters from the restored position so
-	// callbacks continue the interrupted run's numbering.
-	if ps, ok := src.(interface{ StartAt(uint64) }); ok {
-		ps.StartAt(events)
 	}
 	for _, eng := range engines {
 		if err := eng.Restore(cfg.resume); err != nil {

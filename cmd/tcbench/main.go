@@ -15,7 +15,8 @@
 // experiment runs the registry engines. The tables and figures come
 // from internal/bench, their only implementation, which replays the
 // materialized trace through RunStreamSource. The ingest experiment
-// compares scalar, batched and pipelined ingestion per engine × format
+// compares scalar, batched and pipelined (one worker analyzing while
+// the driver decodes) ingestion per engine × format
 // (tcbench -experiment ingest -json BENCH_ingest.json for the
 // machine-readable report) and exits 1 when a cell streams a different
 // number of events than its trace holds. The mem experiment streams

@@ -97,12 +97,12 @@ func parallelExperiment(events, repeats int, workersList []int, jsonPath string)
 			return treeclock.RunStreamSource(engine, trace.NewReplayer(tr), treeclock.WithWorkers(workers))
 		}},
 		{"text", func(engine string, workers int) (*treeclock.StreamResult, error) {
-			// Pin the truly synchronous baseline: RunStream would
-			// auto-pipeline sequential text on multi-core hosts, which
-			// is a different (two-goroutine) denominator than the bin
-			// and mem rows use. Sharded runs never auto-pipeline.
-			return treeclock.RunStream(engine, bytes.NewReader(text.Bytes()),
-				treeclock.WithPipeline(0), treeclock.WithWorkers(workers))
+			// RunStreamSource keeps the baseline inline: RunStream
+			// would put sequential text behind a worker on multi-core
+			// hosts, a different (two-goroutine) denominator than the
+			// bin and mem rows use.
+			return treeclock.RunStreamSource(engine, treeclock.NewTraceScanner(bytes.NewReader(text.Bytes())),
+				treeclock.WithWorkers(workers))
 		}},
 		{"bin", func(engine string, workers int) (*treeclock.StreamResult, error) {
 			return treeclock.RunStream(engine, bytes.NewReader(bin.Bytes()),

@@ -11,7 +11,6 @@
 //	tcrace -engine wcp-tree t.txt         # predictive races (WCP weak order)
 //	tcrace -workers 4 big.txt             # shard the analysis across 4 cores
 //	tcrace -workers 0 big.txt             # shard across GOMAXPROCS cores
-//	tcrace -pipeline 4 big.txt            # decode in a separate goroutine
 //	tcrace -progress 5000000 huge.txt     # rate reports to stderr
 //	tcrace -checkpoint run.ckpt huge.txt  # crash-safe: periodic checkpoints
 //	tcrace -resume run.ckpt huge.txt      # continue an interrupted run
@@ -22,16 +21,15 @@
 //	tcrace -remote /run/tcraced.sock -session nightly -resume-session t.txt
 //	tcrace -daemon-stats 127.0.0.1:7455   # print daemon statistics as JSON
 //
-// Ingestion is batched; -pipeline N overlaps decoding with analysis
-// through a ring of N recycled batch buffers (0 picks automatically: pipelined for text
-// input when GOMAXPROCS > 1; negative forces the synchronous path).
-// -workers N > 1 runs the sharded analysis runtime: variables
-// partition across N full engine replicas and the race checks run only
-// on each variable's owner, with results byte-identical to the
-// sequential pass. -workers 1 is the sequential pass. -workers 0 means
-// GOMAXPROCS workers, resolved before anything else, so on a
+// Ingestion is batched. -workers N > 1 runs the sharded analysis
+// runtime: variables partition across N full engine replicas and the
+// race checks run only on each variable's owner, with results
+// byte-identical to the sequential pass. -workers 1 is the sequential
+// pass; for text input on a host with GOMAXPROCS > 1 its one replica
+// runs in a worker goroutine, so decoding overlaps analysis. -workers
+// 0 means GOMAXPROCS workers, resolved before anything else, so on a
 // single-CPU host it is the sequential pass too; local and -remote
-// runs resolve it the same way.
+// runs resolve it the same way. At most 256 workers are accepted.
 //
 // -checkpoint PATH writes a crash-safe checkpoint of the full analysis
 // state to PATH every -checkpoint-every events (atomically: temp file
@@ -143,7 +141,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		samples      = fs.Int("samples", 10, "sample races to print")
 		list         = fs.Bool("list", false, "list registered engines and exit")
 		noValidate   = fs.Bool("no-validate", false, "skip incremental well-formedness checking (lock/fork/join discipline)")
-		pipeline     = fs.Int("pipeline", 0, "decode in a separate goroutine through a ring of N recycled batch buffers (0 = automatic, negative = off)")
 		workers      = fs.Int("workers", 1, "shard the analysis across N worker replicas (1 = sequential; 0 = GOMAXPROCS, so sequential on one CPU)")
 		progress     = fs.Uint64("progress", 0, "print a progress line to stderr every N events (0 = off)")
 		checkpoint   = fs.String("checkpoint", "", "write a crash-safe checkpoint to this file every -checkpoint-every events")
@@ -216,9 +213,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case *work:
 			fmt.Fprintf(stderr, "tcrace: -work is not available for remote runs (the counters live in the daemon)\n")
 			return exitUsage
-		case *pipeline != 0:
-			fmt.Fprintf(stderr, "tcrace: -pipeline tunes local ingestion and does not apply to remote runs\n")
-			return exitUsage
 		case *internCap > 0 && *format == "bin":
 			fmt.Fprintf(stderr, "tcrace: -intern-cap requires text input\n")
 			return exitUsage
@@ -251,13 +245,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	opts := []treeclock.StreamOption{}
 	if !*noValidate {
 		opts = append(opts, treeclock.StreamValidate())
-	}
-	if *pipeline != 0 {
-		depth := *pipeline
-		if depth < 0 {
-			depth = 0 // explicit synchronous decode
-		}
-		opts = append(opts, treeclock.WithPipeline(depth))
 	}
 	if *reclaimSlots {
 		opts = append(opts, treeclock.WithSlotReclaim())

@@ -401,7 +401,6 @@ func TestRemoteUsageErrors(t *testing.T) {
 		"work":                   {"-remote", "x", "-work"},
 		"checkpoint":             {"-remote", "x", "-checkpoint", "c"},
 		"resume file":            {"-remote", "x", "-resume", "c"},
-		"pipeline":               {"-remote", "x", "-pipeline", "4"},
 		"intern-cap on binary":   {"-remote", "x", "-format", "bin", "-intern-cap", "5"},
 	}
 	for name, args := range cases {

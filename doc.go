@@ -43,9 +43,13 @@
 //
 // # Sharded parallel analysis
 //
-// WithWorkers(n) distributes the analysis across n worker replicas
-// (internal/parallel); any n >= 1 selects this sharded runtime, one
-// worker included, and no option means the sequential one. The
+// WithWorkers(n) runs the engine behind a worker group of n replicas
+// (internal/parallel). One worker is the decode/analysis overlap
+// alone: one unsharded replica whose state, result and checkpoints
+// equal the inline run's. Two or more shard the analysis, up to 256
+// (each replica replays the whole stream, so more add only memory).
+// No option means the inline run, except that RunStream picks one
+// worker for text input when GOMAXPROCS > 1. The sharding
 // decomposition follows from what is and is not independent in a
 // partial-order analysis:
 //
@@ -225,26 +229,24 @@
 // tokenizer over a reused read buffer — no per-line strings, identifier
 // names copied only on first sight — that runs at zero allocations per
 // event in steady state; every event source (both scanners, the
-// validator, the in-memory TraceReplayer, the pipelined decoder) also
-// delivers events in bulk through BatchEventSource. Session.Run reads
-// 512-event batches into one reused buffer, amortizing interface
-// dispatch to once per batch (for a source without batch support,
-// trace.ReadBatch gathers each batch one Next call at a time), and
-// hands each batch to the same per-batch step Feed uses.
-// WithPipeline(depth) moves decoding into its own goroutine behind a
-// ring of recycled batch buffers so parsing overlaps analysis; the
-// loop copies each decoded batch out and hands its buffer straight
-// back. That is the default for text input when GOMAXPROCS > 1
-// (binary decode is too cheap to win the hand-off, and sharded runs
-// overlap decode in the coordinator already; WithPipeline(0) forces
-// the synchronous path). Batches are consumed strictly in order, so
-// every mode produces byte-identical race reports — a property pinned
-// by differential fuzz tests across every registry engine. cmd/tcbench
+// validator, the in-memory TraceReplayer) also delivers events in bulk
+// through BatchEventSource. Session.Run reads 512-event batches into
+// one reused buffer, amortizing interface dispatch to once per batch
+// (for a source without batch support, trace.ReadBatch gathers each
+// batch one Next call at a time), and hands each batch to the same
+// per-batch step Feed uses. Behind a worker group that step copies the
+// batch into a pooled buffer for the workers, so the driver decodes
+// (and validates) the next batch while they analyze this one:
+// WithWorkers(1) is that overlap, and RunStream picks it on its own
+// for text input when GOMAXPROCS > 1 (binary decode is too cheap to
+// win the hand-off). Batches are consumed strictly in order, so every
+// mode produces byte-identical race reports — a property pinned by
+// differential tests across every registry engine. cmd/tcbench
 // -experiment ingest measures the modes against each other and, with
 // -json, emits a machine-readable BENCH_ingest.json report. For
-// heavy-traffic ingestion, WithProgress(every, fn) reports the running
-// event count and events/second rate from the consuming goroutine at
-// batch granularity, sequential or sharded (tcrace -progress).
+// heavy-traffic ingestion, WithProgress(every, fn) reports the
+// delivered event count and events/second rate from the per-batch
+// step, pulled or pushed, inline or behind workers (tcrace -progress).
 //
 // # Checkpointing and crash equivalence
 //
@@ -271,17 +273,19 @@
 // and requires byte-identical reports, timestamps and retained-state
 // accounting versus the uninterrupted run — across all eight registry
 // engines plus the flat weak-clock oracle, the sequential and sharded
-// runtimes, and under the race detector. In the parallel
-// runtime a checkpoint is a barrier: the coordinator pauses every
-// worker at the same trace position, serializes all replicas, and
-// releases them; a checkpoint resumes into a run with the same worker
-// count.
+// runtimes, and under the race detector. Behind a worker group a
+// checkpoint is a barrier: the driver pauses every worker at the same
+// trace position, serializes all replicas, and releases them. A
+// checkpoint resumes into a run with the same replica count: the
+// worker count of a sharded run, one otherwise, so a one-worker run
+// and the inline run resume each other's checkpoints.
 //
 // Runs are also cancellable: WithContext(ctx) stops a session, pulled
 // or pushed, at the next batch boundary when ctx is done (one check,
 // before every batch, shared by both modes), returning the partial
 // StreamResult (events ingested so far, retained-state accounting)
-// alongside ctx.Err(), with no goroutines left behind. cmd/tcrace
+// alongside ctx.Err(); the worker group, if any, drains and exits, so
+// no goroutines are left behind. cmd/tcrace
 // surfaces all of it (-checkpoint, -checkpoint-every, -resume) with a
 // documented exit-code contract: 0 clean, 1 races found, 2 usage or
 // I/O error, 3 corrupt checkpoint, 4 remote session evicted.

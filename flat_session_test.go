@@ -35,7 +35,7 @@ func openFlat(engineName string, opts ...StreamOption) (*Session, error) {
 	}
 	for w := range s.engines {
 		var owns func(int32) bool
-		if s.parallel && s.cfg.analysis {
+		if len(s.engines) > 1 && s.cfg.analysis {
 			owns = parallel.Owns(w, len(s.engines))
 		}
 		if s.info.Clock == "tree" {

@@ -12,7 +12,8 @@ import (
 // layer; every one must be observationally identical. The scalar mode
 // hands RunStreamSource a scanner stripped of its batch methods, so
 // the session's driver loop gathers each batch one Next call at a
-// time.
+// time; the batch mode reads the scanner's batches with the engine
+// inline; the pipeline mode decodes while one worker analyzes.
 var ingestModes = []struct {
 	name   string
 	scalar bool
@@ -20,8 +21,7 @@ var ingestModes = []struct {
 }{
 	{"scalar", true, nil},
 	{"batch", false, nil},
-	{"pipeline-2", false, []treeclock.StreamOption{treeclock.WithPipeline(2)}},
-	{"pipeline-8", false, []treeclock.StreamOption{treeclock.WithPipeline(8)}},
+	{"pipeline", false, []treeclock.StreamOption{treeclock.WithWorkers(1)}},
 }
 
 // nextOnly hides a source's batch methods behind a plain EventSource.
@@ -30,27 +30,24 @@ type nextOnly struct{ src treeclock.EventSource }
 func (s nextOnly) Next() (treeclock.Event, bool) { return s.src.Next() }
 func (s nextOnly) Err() error                    { return s.src.Err() }
 
-// ingest streams data (binary when bin is set) through engine, either
-// per event (scalar) or through RunStream with opts.
+// ingest streams data (binary when bin is set) through engine with
+// opts, per event when scalar is set and in batches otherwise.
 func ingest(engine string, data []byte, bin, scalar bool, opts ...treeclock.StreamOption) (*treeclock.StreamResult, error) {
-	if scalar {
-		var src treeclock.EventSource = treeclock.NewTraceScanner(bytes.NewReader(data))
-		if bin {
-			src = treeclock.NewBinaryTraceScanner(bytes.NewReader(data))
-		}
-		return treeclock.RunStreamSource(engine, nextOnly{src}, opts...)
-	}
+	var src treeclock.EventSource = treeclock.NewTraceScanner(bytes.NewReader(data))
 	if bin {
-		opts = append(opts[:len(opts):len(opts)], treeclock.StreamBinary())
+		src = treeclock.NewBinaryTraceScanner(bytes.NewReader(data))
 	}
-	return treeclock.RunStream(engine, bytes.NewReader(data), opts...)
+	if scalar {
+		src = nextOnly{src}
+	}
+	return treeclock.RunStreamSource(engine, src, opts...)
 }
 
 // TestIngestPathsAgree is the differential acceptance test of the
 // batched-ingestion layer: randomly generated traces, rendered to text
 // and binary, must produce byte-identical race reports and identical
-// metadata through the scalar, batched and pipelined paths, for every
-// registry engine.
+// metadata through the scalar, batched and pipelined (one worker)
+// paths, for every registry engine.
 func TestIngestPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 6; trial++ {
@@ -114,7 +111,8 @@ func TestIngestPathsAgree(t *testing.T) {
 }
 
 // TestIngestMalformedThroughPipeline checks error reporting survives
-// each consumption path (same error text, valid prefix processed).
+// each consumption path, the one-worker pipeline included (same error
+// text, valid prefix processed).
 func TestIngestMalformedThroughPipeline(t *testing.T) {
 	input := []byte("t0 w x0\nt0 acq l0\nt0 oops x0\n")
 	var want string

@@ -750,6 +750,43 @@ func TestDaemonRejects(t *testing.T) {
 	}
 }
 
+// TestDaemonWorkerBound pins that an open frame asking for more
+// workers than treeclock.Open accepts gets an error frame, not a
+// crashed daemon (building that many replicas panics), and that the
+// same server then serves a normal session.
+func TestDaemonWorkerBound(t *testing.T) {
+	tr := daemonTrace()
+	srv, _ := startDaemon(t, t.TempDir(), nil)
+	addr := srv.Addr().String()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	_, err = c.Open("huge", "hb-tree", OpenWorkers(1<<62))
+	c.Close()
+	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("exceeds the limit of 256 workers")) {
+		t.Fatalf("open with 1<<62 workers: err = %v, want the worker-bound error", err)
+	}
+
+	want := resultBytes(t, libraryRun(t, "hb-tree", 2, tr))
+	c, err = Dial(addr)
+	if err != nil {
+		t.Fatalf("dial after the refused open: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Open("after", "hb-tree", OpenWorkers(2)); err != nil {
+		t.Fatalf("open after the refused open: %v", err)
+	}
+	feedRange(t, c, tr.Events, 0, uint64(len(tr.Events)), 173)
+	res, err := c.Finish()
+	if err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if !bytes.Equal(resultBytes(t, res), want) {
+		t.Fatal("session after the refused open diverges from the library run")
+	}
+}
+
 // TestDaemonUnixSocket runs one full session over a Unix socket, with
 // the network inferred from the address on both ends.
 func TestDaemonUnixSocket(t *testing.T) {

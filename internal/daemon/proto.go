@@ -105,16 +105,17 @@ func readFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 // openSpec is the session-open request: which engine to run, under
 // which options, and whether to resume the identified session from its
 // server-side checkpoint. The option subset is exactly what a
-// push-mode Session accepts — decode-side options (format, pipeline,
-// validation, interning) stay with the client, which feeds decoded
-// events.
+// push-mode Session accepts — decode-side options (format, validation,
+// interning) stay with the client, which feeds decoded events.
 type openSpec struct {
 	// ID names the session: the spool checkpoint key and the stats
 	// table entry. Sanitized server-side (sessionIDOK).
 	ID string
 	// Engine is the registry name ("hb-tree", "wcp-vc", ...).
 	Engine string
-	// Workers selects the sharded runtime when > 1.
+	// Workers selects the sharded runtime when > 1. The count comes off
+	// the wire unchecked; treeclock.Open bounds it before building any
+	// replica, and the refusal goes back as an error frame.
 	Workers int
 	// NoAnalysis disables race reporting (timing/metadata only).
 	NoAnalysis bool

@@ -164,10 +164,10 @@ type nextOnly struct{ src trace.EventSource }
 func (s nextOnly) Next() (trace.Event, bool) { return s.src.Next() }
 func (s nextOnly) Err() error                { return s.src.Err() }
 
-// TestProcessSourceConsumptionModes runs one trace through every
-// source shape ProcessSource reads — per-event Next only, batches from
-// the in-memory replayer, and the pipelined decoder — and checks the
-// final timestamps are identical.
+// TestProcessSourceConsumptionModes runs one trace through both
+// source shapes ProcessSource reads — per-event Next only and batches
+// from the in-memory replayer — and checks the final timestamps are
+// identical.
 func TestProcessSourceConsumptionModes(t *testing.T) {
 	tr := gen.Mixed(gen.Config{Name: "modes", Threads: 8, Locks: 4, Vars: 32, Events: 4000, Seed: 9, SyncFrac: 0.3})
 	for _, order := range orders {
@@ -182,15 +182,9 @@ func TestProcessSourceConsumptionModes(t *testing.T) {
 		if err := batched.ProcessSource(trace.NewReplayer(tr)); err != nil {
 			t.Fatalf("%s: batched: %v", order, err)
 		}
-		piped := newRuntime[*core.TreeClock](t, order, core.Factory(nil))
-		p := trace.NewPipeline(trace.NewReplayer(tr), 3, 64)
-		if err := piped.ProcessSource(p); err != nil {
-			t.Fatalf("%s: pipelined: %v", order, err)
-		}
-		p.Close()
 
 		k := tr.Meta.Threads
-		for _, rt := range []*engine.Runtime[*core.TreeClock]{scalar, batched, piped} {
+		for _, rt := range []*engine.Runtime[*core.TreeClock]{scalar, batched} {
 			if rt.Events() != uint64(tr.Len()) {
 				t.Fatalf("%s: processed %d events, want %d", order, rt.Events(), tr.Len())
 			}

@@ -119,9 +119,6 @@ func (r *Runtime[C]) EnableSlotReclaim() error {
 	return nil
 }
 
-// SlotReclaimEnabled reports whether thread-slot reclamation is on.
-func (r *Runtime[C]) SlotReclaimEnabled() bool { return r.slots != nil }
-
 // slotOf returns the internal slot for external thread id t, issuing a
 // fresh slot on first sight (spontaneous threads never recycle).
 func (s *slotTable) slotOf(t vt.TID) vt.TID {

@@ -24,8 +24,9 @@ import (
 //
 //  2. In the deterministic core (package engine, parallel, wcp, or
 //     ckpt): any use of time.Now or any import of math/rand, outside
-//     _test.go files. Timing belongs in the drivers (cmd/*,
-//     internal/trace progress reporting), never in analysis state.
+//     _test.go files. Timing belongs in the drivers (cmd/*, the
+//     session's progress reporting in the root package), never in
+//     analysis state.
 var Detrange = &Analyzer{
 	Name: "detrange",
 	Doc: "flag unsorted map iteration flowing into encoders, reports, or accumulated slices,\n" +

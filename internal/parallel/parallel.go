@@ -1,7 +1,10 @@
-// Package parallel is the sharded analysis runtime: it fans a decoded
-// event stream out to N workers, each running a full engine replica,
-// so per-variable analysis work spreads across cores while the
-// analysis result stays byte-identical to a sequential run.
+// Package parallel is the worker-group runtime: it fans a decoded
+// event stream out to N workers, each running a full engine replica
+// on its own goroutine while the feeding goroutine decodes the next
+// batch. One replica is exactly that decode/analysis overlap: it owns
+// every variable, and its state equals a sequential run's. Two or more
+// shard the analysis, so per-variable work spreads across cores while
+// the analysis result stays byte-identical to a sequential run.
 //
 // # Design
 //

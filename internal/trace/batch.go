@@ -8,12 +8,13 @@ package trace
 // a caller-owned buffer with up to len(buf) events per call, and the
 // consumer then steps through the buffer with a plain slice loop.
 // Every source in this package — the text Scanner, the BinaryScanner,
-// the Validator, the in-memory Replayer and the Pipeline — implements
-// BatchSource, and ReadBatch gathers per-event Next calls into a batch
-// for any source that does not, so every consumer (the streaming
-// session's driver loop, Runtime.ProcessSource) reads batches through
-// ReadBatch alone. Pipeline additionally overlaps decoding with
-// analysis (see pipeline.go).
+// the Validator and the in-memory Replayer — implements BatchSource,
+// and ReadBatch gathers per-event Next calls into a batch for any
+// source that does not, so every consumer (the streaming session's
+// driver loop, Runtime.ProcessSource) reads batches through ReadBatch
+// alone. Overlapping decoding with analysis is the session's business,
+// not a source's: it hands decoded batches to a worker goroutine (see
+// internal/parallel).
 
 // DefaultBatchSize is the event-batch capacity used when a consumer
 // does not supply its own buffer. 512 events (≈6 KiB) amortizes the
@@ -96,5 +97,4 @@ var (
 	_ BatchSource = (*BinaryScanner)(nil)
 	_ BatchSource = (*Validator)(nil)
 	_ BatchSource = (*Replayer)(nil)
-	_ BatchSource = (*Pipeline)(nil)
 )

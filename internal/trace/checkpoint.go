@@ -14,12 +14,9 @@ package trace
 //
 // Stateful wrappers (Validator) serialize outermost-first: each writes
 // its own section, then delegates inward, and restore consumes the
-// sections in the same order. Pure observers and test scaffolding
-// (progress sources, CrashSource) write no section at all, so a
-// checkpoint's bytes are independent of reporting flags and fault
-// injection — one taken under -progress resumes without it (counters
-// re-seed from the restored position) and resume never needs the
-// injector.
+// sections in the same order. Test scaffolding (CrashSource) writes no
+// section at all, so a checkpoint's bytes are independent of fault
+// injection and resume never needs the injector.
 
 import (
 	"errors"
@@ -421,29 +418,6 @@ func (v *Validator) RestoreSource(d *ckpt.Dec) error {
 	return nil
 }
 
-// SnapshotSource implements CheckpointableSource by pure delegation:
-// progress reporting is an observer, so it contributes no section of
-// its own and checkpoint bytes are identical with or without it — a
-// checkpoint written under -progress resumes without it and vice
-// versa. The counters are re-derived from the restored trace position
-// (see progressSource.StartAt).
-func (p *progressSource) SnapshotSource(e *ckpt.Enc) error {
-	cs, ok := p.src.(CheckpointableSource)
-	if !ok {
-		return errNotCheckpointable(p.src)
-	}
-	return cs.SnapshotSource(e)
-}
-
-// RestoreSource implements CheckpointableSource; see SnapshotSource.
-func (p *progressSource) RestoreSource(d *ckpt.Dec) error {
-	cs, ok := p.src.(CheckpointableSource)
-	if !ok {
-		return errNotCheckpointable(p.src)
-	}
-	return cs.RestoreSource(d)
-}
-
 // ErrInjectedCrash is the error a CrashSource reports when it cuts the
 // stream at its kill point. The crash-equivalence harness treats it as
 // the simulated process death.
@@ -552,7 +526,6 @@ var (
 	_ CheckpointableSource = (*BinaryScanner)(nil)
 	_ CheckpointableSource = (*Replayer)(nil)
 	_ CheckpointableSource = (*Validator)(nil)
-	_ CheckpointableSource = (*progressSource)(nil)
 	_ CheckpointableSource = (*CrashSource)(nil)
 	_ BatchSource          = (*CrashSource)(nil)
 )

@@ -13,10 +13,9 @@
 // Validator and the in-memory Replayer all implement it. Each also
 // implements BatchSource, delivering events in bulk into a caller-owned
 // buffer so per-event interface dispatch amortizes away; the engine
-// runtime consumes batches automatically. Pipeline optionally moves
-// decoding into its own goroutine behind a ring of recycled batch
-// buffers, overlapping parsing with analysis while preserving event
-// order exactly.
+// runtime consumes batches automatically. Sources decode on the
+// goroutine that reads them; a streaming session overlaps that
+// decoding with analysis by handing each batch to a worker goroutine.
 package trace
 
 import (

@@ -146,17 +146,13 @@ func (p *SegPool) release(r segRef) {
 type Sparse struct {
 	segs []segRef
 	n    int // logical length (thread-space high-water mark)
+	// rev counts the operations that can touch a foreign entry. No
+	// engine reads it (the strong clock's Rev drives the snapshot fast
+	// path), but checkpoint format v2 carries it (SaveWeak), so it
+	// stays to keep checkpoint bytes unchanged.
 	rev  uint64
 	pool *SegPool
 }
-
-// Rev implements Clock, conservatively: every operation that can touch
-// a foreign entry bumps the counter without change detection (spurious
-// advances are allowed by the contract). Sparse serves as the weak
-// transport, where snapshots are taken by the store, so nothing hot
-// consumes this — it exists for interface conformance and the property
-// tests that drive Sparse through the Clock interface.
-func (c *Sparse) Rev() uint64 { return c.rev }
 
 // NewSparse returns an empty sparse clock over (at least) k threads
 // with its own private segment pool.
@@ -165,11 +161,6 @@ func NewSparse(k int) *Sparse {
 	c.grow(k)
 	return c
 }
-
-// SparseFactory adapts NewSparse to the Clock factory shape (work
-// counting is not wired; the sparse clock is measured end to end by
-// the engine benchmarks instead).
-func SparseFactory() Factory[*Sparse] { return NewSparse }
 
 func (c *Sparse) pl() *SegPool {
 	if c.pool == nil {
@@ -210,7 +201,7 @@ func (c *Sparse) grow(k int) {
 	}
 }
 
-// Get implements WeakClock (and Clock): O(1), zero beyond the length.
+// Get implements WeakClock: O(1), zero beyond the length.
 func (c *Sparse) Get(t TID) Time {
 	i := int(t) >> segShift
 	if int(t) < 0 || i >= len(c.segs) || c.segs[i] == 0 {
@@ -312,7 +303,7 @@ func (c *Sparse) joinSeg(i int, or segRef, op *SegPool) {
 	}
 }
 
-// Join implements WeakClock (and Clock).
+// Join implements WeakClock.
 func (c *Sparse) Join(o *Sparse) {
 	c.rev++
 	c.adopt(o.pool)
@@ -369,7 +360,7 @@ func (c *Sparse) Absorb(s *SparseSnap) {
 	c.SetMax(s.t, s.lt)
 }
 
-// Vector implements WeakClock (and Clock): materialize into dst.
+// Vector implements WeakClock: materialize into dst.
 func (c *Sparse) Vector(dst Vector) Vector {
 	if len(dst) < c.n {
 		dst = GrowSlice(dst, c.n)
@@ -391,15 +382,6 @@ func (c *Sparse) Vector(dst Vector) Vector {
 	return dst
 }
 
-// VectorView implements Clock. The sparse clock keeps no flat mirror,
-// so the view is a fresh Θ(k) materialization — acceptable because
-// engines use Sparse as the weak transport (where snapshots are taken
-// by the store, not through this method), never as the strong backbone
-// on a hot path.
-func (c *Sparse) VectorView() []Time {
-	return c.Vector(NewVector(c.n))
-}
-
 // Heap implements WeakClock: segment storage is attributed
 // fractionally across its ref holders so per-object sums approximate
 // the total.
@@ -413,7 +395,7 @@ func (c *Sparse) Heap() uint64 {
 	return b
 }
 
-// LessEq reports c ⊑ o pointwise (for tests and CopyCheckMonotone).
+// LessEq reports c ⊑ o pointwise (the property tests' order check).
 func (c *Sparse) LessEq(o *Sparse) bool {
 	same := c.pool != nil && c.pool == o.pool
 	for i := range c.segs {
@@ -444,53 +426,6 @@ func (c *Sparse) LessEq(o *Sparse) bool {
 		}
 	}
 	return true
-}
-
-// The remaining methods complete the vt.Clock contract, so a Sparse
-// can stand wherever a clock data structure is expected (the property
-// tests exercise it through both interfaces).
-
-// Init implements Clock: the clock belongs to t with local time 0.
-func (c *Sparse) Init(t TID) { c.grow(int(t) + 1) }
-
-// Inc implements Clock.
-func (c *Sparse) Inc(t TID, d Time) {
-	c.grow(int(t) + 1)
-	w := c.writable(int(t) >> segShift)
-	w.vals[int(t)&segMask] += d
-}
-
-// Grow implements Clock.
-func (c *Sparse) Grow(k int) { c.grow(k) }
-
-// ReleaseSlot implements Clock: erase thread t's component, releasing
-// the whole segment back to the pool when it becomes all-zero.
-func (c *Sparse) ReleaseSlot(t TID) {
-	i := int(t) >> segShift
-	if int(t) < 0 || i >= len(c.segs) || c.segs[i] == 0 {
-		return
-	}
-	p := c.pl()
-	if p.at(c.segs[i]).vals[int(t)&segMask] == 0 {
-		return
-	}
-	w := c.writable(i)
-	w.vals[int(t)&segMask] = 0
-	if w.vals == ([SegSize]Time{}) {
-		p.release(c.segs[i])
-		c.segs[i] = 0
-	}
-	c.rev++
-}
-
-// MonotoneCopy implements Clock: with c ⊑ o, overwrite equals copy.
-func (c *Sparse) MonotoneCopy(o *Sparse) { c.CopyFrom(o) }
-
-// CopyCheckMonotone implements Clock.
-func (c *Sparse) CopyCheckMonotone(o *Sparse) bool {
-	mono := c.LessEq(o)
-	c.CopyFrom(o)
-	return mono
 }
 
 // snapInline is the number of segment references a SparseSnap holds

@@ -94,7 +94,8 @@ func TestSparseVectorZeroesNilBlocks(t *testing.T) {
 }
 
 // Property: Join/SetMax/CopyFrom/LessEq agree with the flat model over
-// random op sequences, through both the WeakClock and the Clock faces.
+// random op sequences. One op raises an entry past its current value
+// through SetMax, the update Absorb applies to a releaser's own slot.
 func TestSparseMatchesFlatModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
@@ -111,7 +112,7 @@ func TestSparseMatchesFlatModel(t *testing.T) {
 				}
 			case 1:
 				tid, d := TID(rr.Intn(k)), Time(1+rr.Intn(3))
-				c.Inc(tid, d)
+				c.SetMax(tid, model[tid]+d)
 				model[tid] += d
 			case 2:
 				tid, v := TID(rr.Intn(k)), Time(rr.Intn(50))
@@ -399,7 +400,7 @@ func FuzzSparseOps(f *testing.F) {
 					model[tid] = Time(arg)
 				}
 			case 1:
-				c.Inc(tid, Time(1+arg))
+				c.SetMax(tid, model[tid]+Time(1+arg))
 				model[tid] += Time(1 + arg)
 			case 2:
 				other.SetMax(tid, Time(arg*3))

@@ -275,5 +275,4 @@ var (
 	_ SnapStore[*FlatWeak, Vector]   = (*FlatStore)(nil)
 	_ WeakClock[*Sparse, SparseSnap] = (*Sparse)(nil)
 	_ SnapStore[*Sparse, SparseSnap] = (*SparseStore)(nil)
-	_ Clock[*Sparse]                 = (*Sparse)(nil)
 )

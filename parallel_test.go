@@ -177,9 +177,8 @@ func TestParallelOptionConflicts(t *testing.T) {
 }
 
 // TestParallelNoAnalysis covers the pure partial-order configuration
-// under workers, and the explicit-pipeline combination (the driver
-// loop copies each decoded batch out of the pipeline's ring and feeds
-// it to the worker group).
+// under workers, and the one-worker group (the decode/analysis
+// overlap) against the inline run.
 func TestParallelNoAnalysis(t *testing.T) {
 	tr := treeclock.GenerateStar(6, 5000, 11)
 	var text bytes.Buffer
@@ -197,17 +196,16 @@ func TestParallelNoAnalysis(t *testing.T) {
 	if res.Events != uint64(tr.Len()) {
 		t.Errorf("Events = %d, want %d", res.Events, tr.Len())
 	}
-	seq, err := treeclock.RunStream("shb-tree", bytes.NewReader(text.Bytes()))
+	seq, err := treeclock.RunStreamSource("shb-tree", treeclock.NewTraceScanner(bytes.NewReader(text.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, err := treeclock.RunStream("shb-tree", bytes.NewReader(text.Bytes()),
-		treeclock.WithWorkers(2), treeclock.WithPipeline(3))
+	piped, err := treeclock.RunStream("shb-tree", bytes.NewReader(text.Bytes()), treeclock.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := raceReport(piped.Summary, piped.Samples), raceReport(seq.Summary, seq.Samples); got != want {
-		t.Errorf("pipeline + workers diverges:\n%s\nvs\n%s", got, want)
+		t.Errorf("one-worker group diverges:\n%s\nvs\n%s", got, want)
 	}
 }
 

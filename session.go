@@ -15,17 +15,18 @@ package treeclock
 //     end until the caller says so; Result assembles what was seen.
 //
 // Both modes share one lifecycle: start restores a resumed session,
-// starts the worker group of a sharded one and arms the checkpoint
-// cadence; feed is the one per-batch step — hand the batch to the
-// replica or the worker group, advance the delivered count, take the
-// cadence checkpoint — that Run calls once per decoded batch and Feed
-// once per pushed one; stop drains the worker group. Cancellation is
-// checked before every batch, by one helper. A pushed stream's result
-// is therefore byte-identical to a pulled run of the same events (the
-// differential suites pin this). Pull-mode checkpoints record the
-// wrapped decoder's state; push-mode checkpoints record the
-// delivered-event frontier in its place, and a resumed push session
-// reports the position to re-feed from via Resumed.
+// starts the worker group (WithWorkers) and arms the checkpoint and
+// progress cadences; feed is the one per-batch step — hand the batch
+// to the replica or the worker group, advance the delivered count,
+// take the cadence checkpoint, report progress — that Run calls once
+// per decoded batch and Feed once per pushed one; stop drains the
+// worker group. Cancellation is checked before every batch, by one
+// helper. A pushed stream's result is therefore byte-identical to a
+// pulled run of the same events (the differential suites pin this).
+// Pull-mode checkpoints record the wrapped decoder's state; push-mode
+// checkpoints record the delivered-event frontier in its place, and a
+// resumed push session reports the position to re-feed from via
+// Resumed.
 //
 // A Session is not safe for concurrent use: one goroutine feeds it.
 // Distinct sessions are fully independent and may run concurrently.
@@ -35,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"treeclock/internal/analysis"
 	"treeclock/internal/ckpt"
@@ -81,12 +83,13 @@ type Session struct {
 	mode     sessionMode
 	finished bool // Result sealed a push stream
 
-	// engines holds one replica for the sequential path, cfg.workers
-	// replicas for the sharded one; sinks are the per-replica WorkStats
-	// accumulators the sharded path folds into cfg.stats at assembly.
-	engines  []streamEngine
-	sinks    []WorkStats
-	parallel bool
+	// engines holds the replicas: one inline or behind a one-worker
+	// group, cfg.workers sharded ones for two or more workers; sinks
+	// are the per-replica WorkStats accumulators a worker group folds
+	// into cfg.stats at assembly (the workers cannot share one).
+	engines []streamEngine
+	sinks   []WorkStats
+	grouped bool // the replicas run behind a worker group
 
 	// Driving state, bound by start. frontier counts the events
 	// delivered so far (the absolute trace position of the next one)
@@ -99,12 +102,24 @@ type Session struct {
 	scratch  bytes.Buffer
 	nextCkpt uint64
 
+	// Progress cadence: the next report threshold, and the count and
+	// time of the previous report (the rate baseline).
+	nextProgress uint64
+	lastProgress uint64
+	lastReport   time.Time
+
 	// Pull-mode bookkeeping.
 	scanner trace.InternCapable // capped interner, for result accounting
 
 	err    error // sticky driving failure
 	result *StreamResult
 }
+
+// maxWorkers bounds WithWorkers. Each replica replays the whole
+// stream, so replicas beyond the core count add only memory; the bound
+// stops a mistyped or hostile count (a daemon open frame carries one)
+// before any replica is built.
+const maxWorkers = 256
 
 // Open validates the engine name and the complete option set and
 // builds a session ready to run. All cross-option conflicts fail here,
@@ -123,10 +138,10 @@ func newSession(engineName string, cfg streamConfig) (*Session, error) {
 	if !ok {
 		return nil, fmt.Errorf("treeclock: unknown engine %q (have %v)", engineName, Engines())
 	}
-	if (cfg.ckptSink != nil || cfg.resume != nil) && cfg.pipeline > 0 {
-		return nil, fmt.Errorf("treeclock: WithCheckpoint/ResumeFrom and WithPipeline are mutually exclusive (the pipelined decoder is not checkpointable)")
+	if cfg.workers > maxWorkers {
+		return nil, fmt.Errorf("treeclock: WithWorkers(%d) exceeds the limit of %d workers", cfg.workers, maxWorkers)
 	}
-	s := &Session{info: info, cfg: cfg, parallel: cfg.workers >= 1}
+	s := &Session{info: info, cfg: cfg, grouped: cfg.workers >= 1}
 	if err := s.buildEngines(); err != nil {
 		return nil, err
 	}
@@ -138,13 +153,13 @@ func newSession(engineName string, cfg streamConfig) (*Session, error) {
 	return s, nil
 }
 
-// buildEngines constructs the replica set: one engine for the
-// sequential path; for the sharded path, cfg.workers full replicas,
-// each owning one variable shard and counting work into its own
-// WorkStats sink (a shared sink would race across workers).
+// buildEngines constructs the replica set: one engine inline; behind
+// a worker group, cfg.workers full replicas, each counting work into
+// its own WorkStats sink (a shared sink would race across workers) and,
+// with two or more, owning one variable shard.
 func (s *Session) buildEngines() error {
 	cfg := &s.cfg
-	if !s.parallel {
+	if !s.grouped {
 		e, err := buildEngine(s.info, cfg, cfg.stats, nil)
 		if err != nil {
 			return err
@@ -162,12 +177,11 @@ func (s *Session) buildEngines() error {
 		if cfg.stats != nil {
 			sink = &s.sinks[w]
 		}
-		owns := parallel.Owns(w, n)
-		if !cfg.analysis {
-			// Without analysis there is nothing to shard; the replicas
-			// would all do identical work. Keep the contract (the path
-			// still runs) but let every worker skip the gating closure.
-			owns = nil
+		// One replica owns every variable. Without analysis there is
+		// nothing to shard; the replicas all do identical work.
+		var owns func(int32) bool
+		if n > 1 && cfg.analysis {
+			owns = parallel.Owns(w, n)
 		}
 		e, err := buildEngine(s.info, cfg, sink, owns)
 		if err != nil {
@@ -224,16 +238,6 @@ func (s *Session) Run(src EventSource) (*StreamResult, error) {
 		// however many replicas consume the stream.
 		src = trace.NewValidator(src)
 	}
-	if cfg.pipeline > 0 {
-		// The pipeline wraps the (validated) decoder, so tokenizing and
-		// discipline checks both run in the decode goroutine.
-		p := trace.NewPipeline(src, cfg.pipeline, trace.DefaultBatchSize)
-		defer p.Close()
-		src = p
-	}
-	if cfg.progressFn != nil {
-		src = wrapProgress(src, cfg)
-	}
 	var cs trace.CheckpointableSource
 	if cfg.ckptSink != nil || cfg.resume != nil {
 		var err error
@@ -267,9 +271,9 @@ func (s *Session) Run(src EventSource) (*StreamResult, error) {
 
 // start binds the driving state for either mode: it restores a
 // resumed session from its checkpoint through src, starts the worker
-// group of a sharded session at the restored position, and arms the
-// checkpoint cadence. src is the checkpoint source: the wrapped
-// decoder in pull mode, the feed frontier in push mode.
+// group at the restored position, and arms the checkpoint and progress
+// cadences there. src is the checkpoint source: the wrapped decoder in
+// pull mode, the feed frontier in push mode.
 func (s *Session) start(src trace.CheckpointableSource) error {
 	cfg := &s.cfg
 	if cfg.resume != nil {
@@ -279,7 +283,7 @@ func (s *Session) start(src trace.CheckpointableSource) error {
 		}
 		s.frontier.delivered = events
 	}
-	if s.parallel {
+	if s.grouped {
 		replicas := make([]parallel.Replica, len(s.engines))
 		for w, e := range s.engines {
 			replicas[w] = e
@@ -289,6 +293,10 @@ func (s *Session) start(src trace.CheckpointableSource) error {
 	if cfg.ckptSink != nil {
 		s.ckptSrc = src
 		s.nextCkpt = nextBoundary(s.frontier.delivered, cfg.ckptEvery)
+	}
+	if cfg.progressFn != nil {
+		s.nextProgress = nextBoundary(s.frontier.delivered, cfg.progressEvery)
+		s.lastProgress, s.lastReport = s.frontier.delivered, time.Now()
 	}
 	return nil
 }
@@ -311,8 +319,9 @@ func (s *Session) cancelled() bool {
 
 // feed is the per-batch step of both modes: hand the batch to the
 // replica (on this goroutine) or to the worker group, advance the
-// delivered count, and take the cadence checkpoint when a boundary
-// has been crossed. A checkpoint failure becomes the sticky error.
+// delivered count, then take the cadence checkpoint and report
+// progress when their boundaries have been crossed. A checkpoint
+// failure becomes the sticky error.
 func (s *Session) feed(events []trace.Event) error {
 	if s.group != nil {
 		s.group.Feed(events)
@@ -327,7 +336,24 @@ func (s *Session) feed(events []trace.Event) error {
 		}
 		s.nextCkpt = nextBoundary(s.frontier.delivered, s.cfg.ckptEvery)
 	}
+	if s.cfg.progressFn != nil && s.frontier.delivered >= s.nextProgress {
+		s.reportProgress()
+	}
 	return nil
+}
+
+// reportProgress fires the WithProgress callback with the delivered
+// count and the rate since the previous report, and arms the next
+// threshold.
+func (s *Session) reportProgress() {
+	now, events := time.Now(), s.frontier.delivered
+	rate := 0.0
+	if dt := now.Sub(s.lastReport).Seconds(); dt > 0 {
+		rate = float64(events-s.lastProgress) / dt
+	}
+	s.cfg.progressFn(Progress{Events: events, Rate: rate})
+	s.lastProgress, s.lastReport = events, now
+	s.nextProgress = nextBoundary(events, s.cfg.progressEvery)
 }
 
 // stop drains and stops the worker group, if one runs, and checks
@@ -365,10 +391,6 @@ func (s *Session) bindPush() error {
 	}
 	cfg := &s.cfg
 	switch {
-	case cfg.pipeline > 0:
-		return fmt.Errorf("treeclock: WithPipeline requires a pull-mode source (push sessions feed decoded events)")
-	case cfg.progressFn != nil:
-		return fmt.Errorf("treeclock: WithProgress requires a pull-mode source (count fed batches at the caller)")
 	case cfg.validate:
 		return fmt.Errorf("treeclock: StreamValidate requires a pull-mode source (validate before feeding)")
 	case cfg.internCap > 0:
@@ -539,7 +561,7 @@ func (s *Session) assembleResult() *StreamResult {
 	// speaks for timestamps, metadata and the event count; the sharded
 	// analysis state merges across all replicas.
 	sum, samples, ts := s.engines[0].Finish()
-	if s.parallel && s.cfg.analysis {
+	if len(s.engines) > 1 && s.cfg.analysis {
 		accs := make([]*analysis.Accumulator, len(s.engines))
 		for w, e := range s.engines {
 			accs[w] = e.Acc()

@@ -85,13 +85,29 @@ func TestSessionPushMatchesPull(t *testing.T) {
 	}
 }
 
-// TestWithWorkersSelectsSharded pins the worker-count contract: any
-// n >= 1 builds the sharded runtime with n replicas, one included, and
-// n <= 0 or no option builds the sequential one.
+// TestWithWorkersSelectsSharded pins the worker-count contract: n <= 0
+// or no option runs one replica inline; one worker runs one unsharded
+// replica behind the worker group, whose checkpoint bytes equal the
+// inline replica's (no shard gate, no position tracking); two or more
+// shard across n replicas.
 func TestWithWorkersSelectsSharded(t *testing.T) {
+	tr := sessionCorpusTrace()
+	snapshot := func(opts ...StreamOption) []byte {
+		s, err := Open("hb-tree", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		feedChunks(t, s, tr.Events[:600], 173)
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	for _, tc := range []struct {
 		opts     []StreamOption
-		parallel bool
+		grouped  bool
 		replicas int
 	}{
 		{nil, false, 1},
@@ -104,11 +120,14 @@ func TestWithWorkersSelectsSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.parallel != tc.parallel || len(s.engines) != tc.replicas {
-			t.Errorf("workers %d: sharded %v with %d replicas, want %v with %d",
-				s.cfg.workers, s.parallel, len(s.engines), tc.parallel, tc.replicas)
+		if s.grouped != tc.grouped || len(s.engines) != tc.replicas {
+			t.Errorf("workers %d: grouped %v with %d replicas, want %v with %d",
+				s.cfg.workers, s.grouped, len(s.engines), tc.grouped, tc.replicas)
 		}
 		s.Close()
+	}
+	if !bytes.Equal(snapshot(WithWorkers(1)), snapshot()) {
+		t.Error("one worker's checkpoint differs from the inline replica's: the replica is sharded")
 	}
 }
 
@@ -312,9 +331,13 @@ func TestSessionOptionErrors(t *testing.T) {
 		_, err := Open("nope")
 		wantErr(t, err, `unknown engine "nope"`)
 	})
-	t.Run("checkpoint+pipeline", func(t *testing.T) {
-		_, err := Open("hb-tree", WithCheckpoint(0, &memSink{}), WithPipeline(2))
-		wantErr(t, err, "WithCheckpoint/ResumeFrom and WithPipeline are mutually exclusive")
+	t.Run("worker count over the bound", func(t *testing.T) {
+		// The count a daemon open frame can carry: building its
+		// replica slice would panic.
+		_, err := Open("hb-tree", WithWorkers(1<<62))
+		if err == nil || err.Error() != "treeclock: WithWorkers(4611686018427387904) exceeds the limit of 256 workers" {
+			t.Fatalf("err = %v, want the pinned worker-bound error", err)
+		}
 	})
 	t.Run("slot reclaim on wcp", func(t *testing.T) {
 		_, err := Open("wcp-tree", WithSlotReclaim())
@@ -336,8 +359,6 @@ func TestSessionOptionErrors(t *testing.T) {
 		opt  StreamOption
 		frag string
 	}{
-		{"pipeline", WithPipeline(2), "WithPipeline requires a pull-mode source"},
-		{"progress", WithProgress(10, func(Progress) {}), "WithProgress requires a pull-mode source"},
 		{"validate", StreamValidate(), "StreamValidate requires a pull-mode source"},
 		{"intern cap", WithInternCap(16), "WithInternCap requires text input"},
 	}

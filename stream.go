@@ -72,9 +72,7 @@ type streamConfig struct {
 	binary        bool // StreamBinary: the reader holds the binary format
 	analysis      bool
 	validate      bool
-	pipeline      int  // pipelined-decode depth; <= 0 = synchronous
-	pipelineSet   bool // WithPipeline was given (auto-selection is off)
-	workers       int  // sharded-analysis replica count; <= 0 = sequential
+	workers       int // worker-group replica count; <= 0 = inline
 	progressEvery uint64
 	progressFn    func(Progress)
 	stats         *WorkStats
@@ -117,26 +115,15 @@ func StreamWorkStats(st *WorkStats) StreamOption {
 	return func(c *streamConfig) { c.stats = st }
 }
 
-// WithPipeline runs trace decoding in its own goroutine, feeding the
-// engine batches through a ring of depth recycled buffers so parsing
-// overlaps analysis. Batches are consumed in trace order, so results
-// are identical to the synchronous path. A depth of at least 2 is
-// enforced; depth <= 0 forces the synchronous path. Without this
-// option RunStream decides on its own: text input decodes pipelined
-// when more than one CPU is available (GOMAXPROCS > 1), since the
-// extra goroutine only pays off when decode and analysis cost are
-// comparable and a second core exists to overlap them; binary input
-// and sharded (WithWorkers) runs stay synchronous — the parallel
-// coordinator already decodes concurrently with analysis.
-func WithPipeline(depth int) StreamOption {
-	return func(c *streamConfig) { c.pipeline, c.pipelineSet = depth, true }
-}
-
-// WithWorkers runs the analysis sharded across n workers: variables
-// partition across n full engine replicas by stable hash, each replica
-// processes the whole event stream in trace order (sequenced by a
-// coordinator through per-worker SPSC ring queues, so clock evolution
-// is identical everywhere), and the per-variable race analysis — the
+// WithWorkers runs the engine behind a worker group of n replicas:
+// the calling goroutine decodes (and validates) each batch and hands
+// it to the workers through per-worker SPSC ring queues, so decoding
+// overlaps analysis. One worker is that overlap alone: one replica,
+// unsharded, whose engine state, result and checkpoints equal the
+// inline run's. Two or more shard the analysis: variables partition
+// across n full engine replicas by stable hash, each replica processes
+// the whole event stream in trace order (so clock evolution is
+// identical everywhere), and the per-variable race analysis — the
 // dominant per-event cost on access-heavy workloads — runs only on the
 // variable's owner. The merged result — counts, samples in trace
 // order, timestamps, metadata — is byte-identical to the sequential
@@ -144,11 +131,12 @@ func WithPipeline(depth int) StreamOption {
 // grows with the worker count: sharding trades replicated clock
 // scaffolding for parallel analysis).
 //
-// Any n >= 1 selects the sharded runtime, one worker included (it
-// runs the coordinator and one replica); n <= 0, like leaving the
-// option out, selects the sequential path. WithPipeline is rarely
-// worth it here: the coordinator already decodes concurrently with
-// the workers. See internal/parallel for the transport.
+// n <= 0, like leaving the option out, runs the engine inline on the
+// calling goroutine — except that RunStream picks one worker on its
+// own for text input when GOMAXPROCS > 1. n above 256 fails the run
+// at Open: each replica replays the whole stream, so replicas beyond
+// the core count add only memory. See internal/parallel for the
+// transport.
 func WithWorkers(n int) StreamOption {
 	return func(c *streamConfig) { c.workers = n }
 }
@@ -200,7 +188,8 @@ func WithInternCap(n int) StreamOption {
 
 // Progress is one WithProgress report.
 type Progress struct {
-	// Events is the number of trace events processed so far.
+	// Events is the number of trace events delivered to the engine so
+	// far.
 	Events uint64
 	// Rate is the observed throughput in events/second since the
 	// previous report (since the start, for the first).
@@ -208,14 +197,20 @@ type Progress struct {
 }
 
 // WithProgress reports ingestion progress: fn fires after roughly
-// every `every` events (at batch granularity; every == 0 selects one
-// report per million events) with the running event count and the
-// events/second rate since the previous report. The callback runs
-// synchronously on the goroutine that calls Run (RunStream's caller),
-// as the session's driver loop reads each batch — pipelined and
-// sharded runs included — so it must be cheap.
+// every `every` events (at the first batch boundary past each multiple
+// of every; every == 0 selects one report per million events) with the
+// running event count and the events/second rate since the previous
+// report. The callback runs synchronously in the session's per-batch
+// step, on the goroutine that calls Run or Feed — worker-group runs
+// included — so it must be cheap. A resumed run numbers its reports
+// from the restored position.
 func WithProgress(every uint64, fn func(Progress)) StreamOption {
-	return func(c *streamConfig) { c.progressEvery, c.progressFn = every, fn }
+	return func(c *streamConfig) {
+		if every == 0 {
+			every = 1 << 20
+		}
+		c.progressEvery, c.progressFn = every, fn
+	}
 }
 
 // StreamValidate enforces trace well-formedness incrementally while
@@ -379,45 +374,35 @@ func newStreamEngine[C vt.Clock[C]](order string, f vt.Factory[C], cfg *streamCo
 // Race / reversible-pair analysis is on by default; configure with
 // StreamOption values (WithWorkers shards the analysis across cores).
 func RunStream(engineName string, r io.Reader, opts ...StreamOption) (*StreamResult, error) {
-	cfg := newConfig(opts)
+	cfg := runStreamConfig(opts, runtime.GOMAXPROCS(0))
 	var src trace.EventSource = trace.NewScanner(r)
 	if cfg.binary {
 		src = trace.NewBinaryScanner(r)
 	}
-	if !cfg.pipelineSet {
-		cfg.pipeline = autoPipelineDepth(&cfg, runtime.GOMAXPROCS(0))
-	}
 	return runStream(engineName, src, cfg)
 }
 
-// defaultPipelineDepth is the decode-ring depth auto-selected for text
-// input on multi-core hosts.
-const defaultPipelineDepth = 4
-
-// autoPipelineDepth is the decode-mode selection applied when
-// WithPipeline was not given: text input decodes in its own goroutine
-// when a second CPU exists to overlap parsing with analysis, and
-// everything else stays synchronous — binary decode is too cheap to
-// win a goroutine hand-off, and sharded runs already overlap decode
-// (the coordinator parses while the workers analyze).
-func autoPipelineDepth(cfg *streamConfig, maxprocs int) int {
-	if cfg.workers >= 1 || cfg.binary || maxprocs < 2 {
-		return 0
+// runStreamConfig applies opts and then RunStream's own choice when
+// WithWorkers was not given: on a host with a second CPU, text input
+// runs its one replica behind the worker group, so the caller's
+// goroutine tokenizes the next batch while the worker analyzes this
+// one. Binary decode is too cheap to win the hand-off.
+func runStreamConfig(opts []StreamOption, maxprocs int) streamConfig {
+	cfg := newConfig(opts)
+	if cfg.workers < 1 && !cfg.binary && maxprocs > 1 {
+		cfg.workers = 1
 	}
-	if cfg.ckptSink != nil || cfg.resume != nil {
-		// The pipelined decoder's in-flight state is not checkpointable.
-		return 0
-	}
-	return defaultPipelineDepth
+	return cfg
 }
 
 // RunStreamSource is RunStream over an already-constructed event
 // source — a trace scanner, an in-memory TraceReplayer, or one of the
 // endless workload generators (GenerateHotLockStream and friends,
 // capped with LimitEvents). StreamBinary is ignored (the source is
-// already decoded); validation, pipelining and sharding apply as in
-// RunStream. A source without batch support is still read in batches,
-// gathered one Next call at a time.
+// already decoded); validation and WithWorkers apply as in RunStream,
+// but the worker group runs only when WithWorkers asks for it. A
+// source without batch support is still read in batches, gathered one
+// Next call at a time.
 func RunStreamSource(engineName string, src EventSource, opts ...StreamOption) (*StreamResult, error) {
 	return runStream(engineName, src, newConfig(opts))
 }
@@ -435,7 +420,8 @@ func runStream(engineName string, src trace.EventSource, cfg streamConfig) (*Str
 	return s.Run(src)
 }
 
-// nextBoundary returns the first checkpoint threshold past events.
+// nextBoundary returns the first multiple of every past events: the
+// next checkpoint or progress threshold.
 func nextBoundary(events, every uint64) uint64 {
 	next := events + every
 	next -= next % every
@@ -460,13 +446,4 @@ func foldInternStats(res *StreamResult, sc trace.InternCapable) {
 	}
 	res.Mem.InternedNames = live
 	res.Mem.InternEvictions = evictions
-}
-
-// wrapProgress adapts the config's callback to the trace-level
-// progress wrapper.
-func wrapProgress(src trace.EventSource, cfg *streamConfig) trace.EventSource {
-	fn := cfg.progressFn
-	return trace.NewProgressSource(src, cfg.progressEvery, func(events uint64, rate float64) {
-		fn(Progress{Events: events, Rate: rate})
-	})
 }

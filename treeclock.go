@@ -93,9 +93,9 @@ type EventSource = trace.EventSource
 
 // BatchEventSource is an EventSource that also delivers events in
 // batches into a caller-owned buffer, amortizing per-event call
-// overhead. Both scanners, the validator, the trace replayer and the
-// pipelined decoder implement it, and the session's driver loop reads
-// batches automatically.
+// overhead. Both scanners, the validator and the trace replayer
+// implement it, and the session's driver loop reads batches
+// automatically.
 type BatchEventSource = trace.BatchSource
 
 // TraceReplayer streams a materialized trace through the same
@@ -104,18 +104,6 @@ type TraceReplayer = trace.Replayer
 
 // NewTraceReplayer wraps a materialized trace as an event source.
 func NewTraceReplayer(tr *Trace) *TraceReplayer { return trace.NewReplayer(tr) }
-
-// TracePipeline decodes a wrapped event source in its own goroutine,
-// feeding consumers batches through a ring of recycled buffers (see
-// WithPipeline for the RunStream knob). Close it if it is abandoned
-// before exhaustion.
-type TracePipeline = trace.Pipeline
-
-// NewTracePipeline wraps src with an asynchronous decode stage of the
-// given ring depth and batch size (<= 0 selects defaults).
-func NewTracePipeline(src EventSource, depth, batchSize int) *TracePipeline {
-	return trace.NewPipeline(src, depth, batchSize)
-}
 
 // ParseTrace reads the text trace format ("<thread> <op> <operand>"
 // lines; see internal/trace for the grammar).

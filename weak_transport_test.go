@@ -3,8 +3,8 @@ package treeclock_test
 // Differential pinning of the WCP weak-clock transports through the
 // public streaming API: the registry's sparse transport must reproduce
 // the flat-vector oracle (runPreSized's "wcp-flat") — race reports,
-// timestamps and retained-state counters — on the sequential,
-// pipelined and sharded paths.
+// timestamps and retained-state counters — inline, behind a one-worker
+// group (the pipelined decode/analysis overlap) and sharded.
 
 import (
 	"bytes"
@@ -20,11 +20,11 @@ func TestWCPFlatWeakTransportByteIdentical(t *testing.T) {
 	paths := []struct {
 		name     string
 		replicas int // MemStats sums the counters over sharded replicas
-		opts     []treeclock.StreamOption
+		workers  int
 	}{
-		{"batch", 1, []treeclock.StreamOption{treeclock.WithPipeline(0)}},
-		{"pipeline", 1, []treeclock.StreamOption{treeclock.WithPipeline(3)}},
-		{"workers", workers, []treeclock.StreamOption{treeclock.WithWorkers(workers)}},
+		{"batch", 1, 0},
+		{"pipeline", 1, 1},
+		{"workers", workers, workers},
 	}
 	for _, tr := range generatorSuite() {
 		var text bytes.Buffer
@@ -47,7 +47,8 @@ func TestWCPFlatWeakTransportByteIdentical(t *testing.T) {
 			}
 			for _, p := range paths {
 				t.Run(tr.Meta.Name+"/"+engineName+"/"+p.name, func(t *testing.T) {
-					sparse, err := treeclock.RunStream(engineName, bytes.NewReader(text.Bytes()), p.opts...)
+					sparse, err := treeclock.RunStreamSource(engineName, treeclock.NewTraceScanner(bytes.NewReader(text.Bytes())),
+						treeclock.WithWorkers(p.workers))
 					if err != nil {
 						t.Fatal(err)
 					}
