@@ -309,18 +309,19 @@
 // top: a long-lived server multiplexing concurrent trace sessions
 // over TCP or unix sockets. The wire protocol is length-prefixed
 // binary framing (a uint32 length, a one-byte frame type, a payload
-// that reuses the checkpoint codec for structured frames and bare
-// varints for event batches); the client opens a named session,
-// streams event frames, and receives progress, the final result — or
-// an eviction. Session lifecycle is built for restarts nobody
-// notices: every session checkpoints to a per-session spool file on
-// a cadence, on detach and on disconnect, so a client (or the whole
-// daemon) can die at any moment and a session with the same id plus
-// Resume continues from the spooled frontier, re-feeding only the
-// tail, with the finished report byte-identical to an uninterrupted
-// library run — proven by fault-injected restart-equivalence tests
-// across engines and worker counts, and again end to end (real
-// kill -9, real processes) by the CI daemon lane.
+// that reuses the checkpoint codec for structured frames and the
+// binary trace format's event encoding for event batches); the client
+// opens a named session, streams event frames, and receives progress,
+// the final result — or an eviction. Session lifecycle is built for
+// restarts nobody notices: every session checkpoints to a per-session
+// spool file on a cadence, on detach and on disconnect, so a client
+// (or the whole daemon) can die at any moment and a session with the
+// same id plus Resume continues from the spooled frontier, re-feeding
+// only the tail, with the finished report byte-identical to an
+// uninterrupted library run — proven by fault-injected
+// restart-equivalence tests across engines and worker counts, and
+// again end to end (real kill -9, real processes) by the CI daemon
+// lane.
 //
 // Two per-session budgets keep tenants isolated: a retained-bytes cap
 // enforced through the MemStats accounting (over-budget sessions are

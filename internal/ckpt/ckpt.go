@@ -473,9 +473,10 @@ func (d *Dec) Svarint() int64 {
 // Minimal reports whether the n-byte varint that binary.Uvarint or
 // binary.Varint decoded from the start of b is the shortest spelling of
 // its value, the one binary.AppendUvarint writes; a longer one ends in
-// a redundant zero byte. Dec and the daemon's event-frame decoder
-// reject the rest, so each value has exactly one accepted spelling.
-// It stays a one-line predicate so the per-event decoder inlines it.
+// a redundant zero byte. Dec, the event decoder of the binary trace
+// format and the daemon's bare frame fields reject the rest, so each
+// value has exactly one accepted spelling. It stays a one-line
+// predicate so the per-event decoder inlines it.
 func Minimal(b []byte, n int) bool { return n <= 1 || b[n-1] != 0 }
 
 // Int reads a signed integer and range-checks it into int.

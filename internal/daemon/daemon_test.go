@@ -14,12 +14,14 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"treeclock"
 	"treeclock/internal/trace"
+	"treeclock/internal/vt"
 )
 
 // fakeClock is the injected deterministic clock: Sleep advances time
@@ -214,6 +216,26 @@ func TestProtoRoundTrip(t *testing.T) {
 	bad[1] = 0xff // first event kind out of range
 	if _, err := decodeEvents(bad, nil); err == nil {
 		t.Fatalf("decodeEvents accepted bad event kind")
+	}
+	// Identifiers outside [0, vt.MaxID): operand -1 goes on the wire as
+	// 0xFFFFFFFF, which once reached the engine as -1.
+	for _, ev := range []trace.Event{{T: 0, Obj: -1, Kind: trace.Read}, {T: vt.MaxID, Obj: 0, Kind: trace.Write}} {
+		if _, err := decodeEvents(encodeEvents(nil, []trace.Event{ev}), nil); err == nil {
+			t.Fatalf("decodeEvents accepted out-of-range event %v", ev)
+		}
+	}
+	if !bytes.Equal(encodeEvents(nil, []trace.Event{{T: 0, Obj: -1, Kind: trace.Read}}), []byte{1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) {
+		t.Fatalf("operand -1 is not sent as 0xFFFFFFFF")
+	}
+
+	prog := encodeProgress(1<<40, 300)
+	if e, r, err := decodeProgress(prog); err != nil || e != 1<<40 || r != 300 {
+		t.Fatalf("progress round trip: %d %d %v", e, r, err)
+	}
+	for _, bad := range [][]byte{prog[:len(prog)-1], append(bytes.Clone(prog), 0), {0x80, 0x00, 0x00}} {
+		if _, _, err := decodeProgress(bad); err == nil {
+			t.Fatalf("decodeProgress accepted % x", bad)
+		}
 	}
 }
 
@@ -784,6 +806,51 @@ func TestDaemonWorkerBound(t *testing.T) {
 	}
 	if !bytes.Equal(resultBytes(t, res), want) {
 		t.Fatal("session after the refused open diverges from the library run")
+	}
+}
+
+// TestDaemonEventIDBound pins that an events frame carrying an
+// identifier outside [0, vt.MaxID) gets an error frame, not a crashed
+// daemon (operand -1 indexes per-variable state at -1), and that the
+// same server then serves a normal session.
+func TestDaemonEventIDBound(t *testing.T) {
+	tr := daemonTrace()
+	srv, _ := startDaemon(t, t.TempDir(), nil)
+	addr := srv.Addr().String()
+	for i, ev := range []trace.Event{{T: 0, Obj: -1, Kind: trace.Read}, {T: vt.MaxID, Obj: 0, Kind: trace.Write}} {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if _, err := c.Open(fmt.Sprintf("bad-%d", i), "hb-tree"); err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		err = c.Feed([]trace.Event{ev})
+		if err == nil {
+			_, err = c.Finish()
+		}
+		c.Close()
+		if err == nil || !strings.Contains(err.Error(), "identifier out of range") {
+			t.Fatalf("feeding %v: err = %v, want the identifier-bound error", ev, err)
+		}
+	}
+
+	want := resultBytes(t, libraryRun(t, "hb-tree", 1, tr))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial after the refused frames: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Open("after", "hb-tree"); err != nil {
+		t.Fatalf("open after the refused frames: %v", err)
+	}
+	feedRange(t, c, tr.Events, 0, uint64(len(tr.Events)), 173)
+	res, err := c.Finish()
+	if err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if !bytes.Equal(resultBytes(t, res), want) {
+		t.Fatal("session after the refused frames diverges from the library run")
 	}
 }
 

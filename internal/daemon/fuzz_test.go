@@ -9,8 +9,8 @@ import (
 )
 
 // FuzzDaemonFrames fuzzes the decoders that parse network bytes:
-// readFrame and the open, events, result and position payloads. Every
-// input goes through all five. None may panic, and whatever a decoder
+// readFrame and the open, events, result, position and progress
+// payloads. Every input goes through all six. None may panic, and whatever a decoder
 // accepts must re-encode to exactly the bytes it consumed — a message
 // has one accepted spelling, so no frame carries bytes the daemon
 // silently ignores.
@@ -40,7 +40,8 @@ func FuzzDaemonFrames(f *testing.F) {
 	if err := writeFrame(bufio.NewWriter(&frame), frameEvents, events[:13]); err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range [][]byte{open, result, pos, events, frame.Bytes(), nil} {
+	progress := encodeProgress(1234, 1<<20)
+	for _, seed := range [][]byte{open, result, pos, events, frame.Bytes(), progress, nil} {
 		f.Add(seed)
 	}
 
@@ -75,6 +76,11 @@ func FuzzDaemonFrames(f *testing.F) {
 			out, err := encodePos(p, reason)
 			if err != nil || !bytes.Equal(out, data) {
 				t.Fatalf("position re-encodes to %x (err %v), decoded from %x", out, err, data)
+			}
+		}
+		if events, retained, err := decodeProgress(data); err == nil {
+			if out := encodeProgress(events, retained); !bytes.Equal(out, data) {
+				t.Fatalf("progress re-encodes to %x, decoded from %x", out, data)
 			}
 		}
 	})

@@ -17,8 +17,12 @@
 // CRC-checked), so the daemon's wire encoding inherits the same
 // defensive decoding as checkpoints and the same save*/load* symmetry
 // the ckptsym analyzer checks. Event batches are the hot path and use
-// a bare varint encoding instead: a count followed by (kind, thread,
-// operand) triples per event.
+// a bare encoding instead: a uvarint count followed by the events in
+// the binary trace format's per-event encoding (trace.AppendEvent,
+// trace.DecodeEvents), whose decoder also holds kinds and identifiers
+// to their bounds. Progress notices are two bare uvarints. Every bare
+// uvarint must be minimal, so these frames too have one accepted
+// spelling.
 package daemon
 
 import (
@@ -352,28 +356,34 @@ func decodePos(payload []byte) (uint64, string, error) {
 	return loadPos(ckpt.NewDec(bytes.NewReader(payload)))
 }
 
-// encodeEvents appends an event batch in the bare hot-path encoding:
-// uvarint count, then per event a kind byte, uvarint thread and
-// uvarint operand (operands are non-negative identifiers, stored as
-// their uint32 pattern to keep Fork/Join thread ids compact).
+// uvarint decodes the minimal uvarint at the front of b and returns it
+// with the rest of b.
+func uvarint(b []byte) (v uint64, rest []byte, ok bool) {
+	v, k := binary.Uvarint(b)
+	if k <= 0 || !ckpt.Minimal(b, k) {
+		return 0, nil, false
+	}
+	return v, b[k:], true
+}
+
+// encodeEvents appends an event batch: the uvarint count, then each
+// event as trace.AppendEvent encodes it.
 func encodeEvents(dst []byte, events []trace.Event) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
 	for _, ev := range events {
-		dst = append(dst, byte(ev.Kind))
-		dst = binary.AppendUvarint(dst, uint64(uint32(ev.T)))
-		dst = binary.AppendUvarint(dst, uint64(uint32(ev.Obj)))
+		dst = trace.AppendEvent(dst, ev)
 	}
 	return dst
 }
 
 // decodeEvents decodes an events frame payload into buf (grown as
-// needed), validating kinds and identifier ranges.
+// needed). trace.DecodeEvents validates each event's kind, spelling
+// and identifiers; the frame must hold exactly the counted events.
 func decodeEvents(payload []byte, buf []trace.Event) ([]trace.Event, error) {
-	n, k := binary.Uvarint(payload)
-	if k <= 0 || !ckpt.Minimal(payload, k) {
+	n, payload, ok := uvarint(payload)
+	if !ok {
 		return nil, fmt.Errorf("daemon: events frame: bad count")
 	}
-	payload = payload[k:]
 	if n > maxEventsPerFrame {
 		return nil, fmt.Errorf("daemon: events frame: count %d exceeds limit %d", n, maxEventsPerFrame)
 	}
@@ -384,29 +394,14 @@ func decodeEvents(payload []byte, buf []trace.Event) ([]trace.Event, error) {
 		buf = make([]trace.Event, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		if len(payload) == 0 {
-			return nil, fmt.Errorf("daemon: events frame: truncated at event %d of %d", i, n)
-		}
-		kind := trace.Kind(payload[0])
-		if kind > trace.Join {
-			return nil, fmt.Errorf("daemon: events frame: bad event kind %d", kind)
-		}
-		payload = payload[1:]
-		t, k := binary.Uvarint(payload)
-		if k <= 0 || !ckpt.Minimal(payload, k) || t > 1<<31-1 {
-			return nil, fmt.Errorf("daemon: events frame: bad thread id at event %d", i)
-		}
-		payload = payload[k:]
-		obj, k := binary.Uvarint(payload)
-		if k <= 0 || !ckpt.Minimal(payload, k) || obj > 1<<32-1 {
-			return nil, fmt.Errorf("daemon: events frame: bad operand at event %d", i)
-		}
-		payload = payload[k:]
-		buf[i] = trace.Event{T: vt.TID(t), Obj: int32(uint32(obj)), Kind: kind}
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("daemon: events frame: %d trailing bytes", len(payload))
+	got, used, err := trace.DecodeEvents(buf, payload)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("daemon: events frame: event %d: %w", got, err)
+	case got < len(buf):
+		return nil, fmt.Errorf("daemon: events frame: truncated at event %d of %d", got, n)
+	case used < len(payload):
+		return nil, fmt.Errorf("daemon: events frame: %d trailing bytes", len(payload)-used)
 	}
 	return buf, nil
 }

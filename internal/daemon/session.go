@@ -292,14 +292,16 @@ func encodeProgress(events, retained uint64) []byte {
 
 // decodeProgress unmarshals a progress notice.
 func decodeProgress(payload []byte) (events, retained uint64, err error) {
-	var k int
-	events, k = binary.Uvarint(payload)
-	if k <= 0 {
+	events, payload, ok := uvarint(payload)
+	if !ok {
 		return 0, 0, fmt.Errorf("daemon: progress frame: bad event count")
 	}
-	retained, k = binary.Uvarint(payload[k:])
-	if k <= 0 {
+	retained, payload, ok = uvarint(payload)
+	if !ok {
 		return 0, 0, fmt.Errorf("daemon: progress frame: bad retained count")
+	}
+	if len(payload) != 0 {
+		return 0, 0, fmt.Errorf("daemon: progress frame: %d trailing bytes", len(payload))
 	}
 	return events, retained, nil
 }

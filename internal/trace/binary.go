@@ -3,9 +3,9 @@ package trace
 // Binary format
 //
 // A compact, streamable encoding for large generated traces (not meant
-// for interchange outside this module). Unlike the previous gob
-// envelope, events are encoded individually, so a BinaryScanner can
-// feed an engine one event at a time with O(1) memory:
+// for interchange outside this module). Events are encoded one by
+// one, so a BinaryScanner can feed an engine one event at a time with
+// O(1) memory:
 //
 //	magic "TCT1" (4 bytes)
 //	name:    uvarint length + bytes
@@ -14,73 +14,162 @@ package trace
 //	vars:    uvarint    spaces on the fly)
 //	events:  uvarint count, then per event:
 //	         1 byte kind, uvarint thread, uvarint operand
+//
+// Every uvarint must be minimal, the spelling binary.AppendUvarint
+// writes, so a trace has one accepted spelling. The per-event encoding
+// is also the payload of tcraced's events frame (internal/daemon):
+// AppendEvent writes it and DecodeEvents reads it for both, and
+// DecodeEvents is where the identifier bound [0, vt.MaxID) that every
+// consumer of decoded events relies on is enforced.
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
+	"treeclock/internal/ckpt"
 	"treeclock/internal/vt"
 )
 
 // binaryMagic identifies (and versions) the binary trace format.
 var binaryMagic = [4]byte{'T', 'C', 'T', '1'}
 
-// WriteBinary serializes the trace to the streamable binary format.
-func WriteBinary(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := writeUvarint(uint64(len(tr.Meta.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(tr.Meta.Name); err != nil {
-		return err
-	}
-	for _, v := range [4]int{tr.Meta.Threads, tr.Meta.Locks, tr.Meta.Vars, len(tr.Events)} {
-		if err := writeUvarint(uint64(v)); err != nil {
-			return err
-		}
-	}
-	for _, e := range tr.Events {
-		if err := bw.WriteByte(byte(e.Kind)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(e.T)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(e.Obj)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// binBufSize is the scanner's refill window: large enough that refills
-// are rare, small enough to stay cache-resident.
+// binBufSize is the size of the scanner's refill window and of the
+// writer's output chunks: large enough that refills are rare, small
+// enough to stay cache-resident.
 const binBufSize = 64 << 10
 
-// maxEventEnc is the worst-case encoded event size: one kind byte plus
-// two maximal uvarints.
-const maxEventEnc = 1 + 2*binary.MaxVarintLen64
+// maxEventEnc is the longest event AppendEvent writes: one kind byte
+// plus two 32-bit uvarints.
+const maxEventEnc = 1 + 2*binary.MaxVarintLen32
+
+// maxEmptyReads is how many consecutive (0, nil) reads a scanner
+// accepts before it fails with io.ErrNoProgress.
+const maxEmptyReads = 100
+
+var (
+	errOverflow   = errors.New("trace: uvarint overflows 64 bits")
+	errNonMinimal = errors.New("trace: uvarint is not minimally encoded")
+)
+
+// AppendEvent appends the encoding of ev to dst: the kind byte, then
+// the thread and the operand as uvarints of their 32-bit patterns. An
+// identifier in [0, vt.MaxID) takes one to four bytes.
+func AppendEvent(dst []byte, ev Event) []byte {
+	dst = append(dst, byte(ev.Kind))
+	dst = binary.AppendUvarint(dst, uint64(uint32(ev.T)))
+	return binary.AppendUvarint(dst, uint64(uint32(ev.Obj)))
+}
+
+// DecodeEvents decodes events from the front of src into dst until dst
+// is full, src is exhausted or src ends inside an event, and returns
+// the number of events decoded and of bytes they took. A non-nil error
+// means the event after them is invalid, which no further bytes can
+// mend: its kind is out of range, a uvarint overflows or is not
+// minimal, or an identifier lies outside [0, vt.MaxID). Each check
+// runs as soon as src holds the bytes it reads, so a prefix of an
+// invalid event is either incomplete or fails as the whole event does.
+func DecodeEvents(dst []Event, src []byte) (n, used int, err error) {
+	for n < len(dst) {
+		// The common shape, both identifiers below 128, stays in the
+		// loop: three loads and no call.
+		if b := src[used:]; len(b) >= 3 {
+			if k, t, o := b[0], b[1], b[2]; t|o < 0x80 && Kind(k) < numKinds {
+				dst[n] = Event{T: vt.TID(t), Obj: int32(o), Kind: Kind(k)}
+				used += 3
+				n++
+				continue
+			}
+		}
+		ev, size, err := decodeEvent(src[used:])
+		if size == 0 {
+			return n, used, err
+		}
+		dst[n] = ev
+		used += size
+		n++
+	}
+	return n, used, nil
+}
+
+// decodeEvent decodes the event at the front of b and returns it with
+// its length; a zero length with a nil error means b ends inside it.
+func decodeEvent(b []byte) (Event, int, error) {
+	if len(b) == 0 {
+		return Event{}, 0, nil
+	}
+	kind := Kind(b[0])
+	if kind >= numKinds {
+		return Event{}, 0, fmt.Errorf("invalid kind %d", b[0])
+	}
+	t, i, err := uvarint(b[1:])
+	if i == 0 {
+		return Event{}, 0, err
+	}
+	i++
+	obj, j, err := uvarint(b[i:])
+	if j == 0 {
+		return Event{}, 0, err
+	}
+	// Identifiers index dense per-identifier state downstream; anything
+	// at or above the global bound would become a negative id or a huge
+	// allocation in a grow path.
+	if t >= vt.MaxID || obj >= vt.MaxID {
+		return Event{}, 0, fmt.Errorf("identifier out of range (thread %d, operand %d)", t, obj)
+	}
+	return Event{T: vt.TID(t), Obj: int32(obj), Kind: kind}, i + j, nil
+}
+
+// uvarint decodes the minimal uvarint at the front of b and returns it
+// with its length; a zero length with a nil error means b ends inside
+// it. Unlike binary.Uvarint it reports an overflow at the tenth byte,
+// without waiting for an eleventh.
+func uvarint(b []byte) (uint64, int, error) {
+	var x uint64
+	for i, c := range b {
+		if i == binary.MaxVarintLen64-1 && c > 1 {
+			return 0, 0, errOverflow
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if !ckpt.Minimal(b, i+1) {
+				return 0, 0, errNonMinimal
+			}
+			return x, i + 1, nil
+		}
+	}
+	return 0, 0, nil
+}
+
+// WriteBinary serializes the trace to the streamable binary format.
+func WriteBinary(w io.Writer, tr *Trace) error {
+	buf := append(make([]byte, 0, binBufSize), binaryMagic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(tr.Meta.Name)))
+	buf = append(buf, tr.Meta.Name...)
+	for _, v := range [4]int{tr.Meta.Threads, tr.Meta.Locks, tr.Meta.Vars, len(tr.Events)} {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	for _, e := range tr.Events {
+		if len(buf) > binBufSize-maxEventEnc {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = AppendEvent(buf, e)
+	}
+	_, err := w.Write(buf)
+	return err
+}
 
 // BinaryScanner streams events from the binary trace format without
 // materializing the trace. It implements EventSource.
 //
-// Decoding reads through an explicit byte window instead of a
-// bufio.Reader: a varint decoded via bufio costs one non-inlinable
-// method call per byte, which at three calls per event was a
-// double-digit share of the fastest engines' event loop. The window
-// makes the common case — a whole event visible in the buffer, both
-// identifiers below 128 — three loads and one bounds check.
+// Decoding runs DecodeEvents over an explicit byte window instead of a
+// bufio.Reader, whose per-byte method calls were a double-digit share
+// of the fastest engines' event loop; the window is refilled only when
+// it ends inside an event.
 type BinaryScanner struct {
 	r    io.Reader
 	buf  []byte
@@ -105,14 +194,20 @@ func NewBinaryScanner(r io.Reader) *BinaryScanner {
 }
 
 // fill slides the unread tail to the front of the window and reads
-// more bytes from the underlying reader.
+// until some bytes arrive or the input ends. A reader that keeps
+// returning (0, nil) fails with io.ErrNoProgress, as it does for the
+// text Scanner.
 func (s *BinaryScanner) fill() {
 	if s.pos > 0 {
 		copy(s.buf, s.buf[s.pos:s.end])
 		s.end -= s.pos
 		s.pos = 0
 	}
-	for !s.eof && s.end < len(s.buf) {
+	for empty := 0; !s.eof && s.end < len(s.buf); empty++ {
+		if empty == maxEmptyReads {
+			s.rerr, s.eof = io.ErrNoProgress, true
+			return
+		}
 		n, err := s.r.Read(s.buf[s.end:])
 		s.end += n
 		s.consumed += int64(n)
@@ -129,45 +224,13 @@ func (s *BinaryScanner) fill() {
 	}
 }
 
-// readByte returns the next byte, refilling as needed. At a true end
-// of input it returns the underlying error, or io.EOF.
-func (s *BinaryScanner) readByte() (byte, error) {
-	if s.pos >= s.end {
-		s.fill()
-		if s.pos >= s.end {
-			if s.rerr != nil {
-				return 0, s.rerr
-			}
-			return 0, io.EOF
-		}
+// short is the error for input that ends inside an item: the
+// underlying read error, or io.EOF.
+func (s *BinaryScanner) short() error {
+	if s.rerr != nil {
+		return s.rerr
 	}
-	b := s.buf[s.pos]
-	s.pos++
-	return b, nil
-}
-
-// readUvarint decodes one uvarint through readByte (the slow path;
-// event decoding inlines the single-byte case).
-func (s *BinaryScanner) readUvarint() (uint64, error) {
-	var x uint64
-	var shift uint
-	for i := 0; ; i++ {
-		b, err := s.readByte()
-		if err != nil {
-			return 0, err
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, fmt.Errorf("trace: uvarint overflows 64 bits")
-			}
-			return x | uint64(b)<<shift, nil
-		}
-		if i == binary.MaxVarintLen64-1 {
-			return 0, fmt.Errorf("trace: uvarint overflows 64 bits")
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
-	}
+	return io.EOF
 }
 
 // readFull fills p from the window, refilling as needed.
@@ -189,46 +252,64 @@ func (s *BinaryScanner) readFull(p []byte) error {
 	return nil
 }
 
+// headerUvarint reads one header uvarint from the window, refilling
+// until the window holds all of it or the input ends.
+func (s *BinaryScanner) headerUvarint() (uint64, error) {
+	for {
+		v, n, err := uvarint(s.buf[s.pos:s.end])
+		if n > 0 {
+			s.pos += n
+			return v, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+		if s.eof {
+			return 0, s.short()
+		}
+		s.fill()
+	}
+}
+
 // header reads and validates the stream header once.
 func (s *BinaryScanner) header() error {
 	if s.started || s.err != nil {
 		return s.err
 	}
 	s.started = true
+	s.err = s.readHeader()
+	return s.err
+}
+
+// readHeader decodes the stream header into s.meta and s.total.
+func (s *BinaryScanner) readHeader() error {
 	var magic [4]byte
 	if err := s.readFull(magic[:]); err != nil {
-		s.err = fmt.Errorf("trace: reading binary header: %w", err)
-		return s.err
+		return fmt.Errorf("trace: reading binary header: %w", err)
 	}
 	if magic != binaryMagic {
-		s.err = fmt.Errorf("trace: bad binary magic %q (want %q)", magic[:], binaryMagic[:])
-		return s.err
+		return fmt.Errorf("trace: bad binary magic %q (want %q)", magic[:], binaryMagic[:])
 	}
-	nameLen, err := s.readUvarint()
+	nameLen, err := s.headerUvarint()
 	if err != nil {
-		s.err = fmt.Errorf("trace: reading binary header: %w", err)
-		return s.err
+		return fmt.Errorf("trace: reading binary header: %w", err)
 	}
 	const maxNameLen = 1 << 20
 	if nameLen > maxNameLen {
-		s.err = fmt.Errorf("trace: binary trace name length %d too large", nameLen)
-		return s.err
+		return fmt.Errorf("trace: binary trace name length %d too large", nameLen)
 	}
 	name := make([]byte, nameLen)
 	if err := s.readFull(name); err != nil {
-		s.err = fmt.Errorf("trace: reading binary header: %w", err)
-		return s.err
+		return fmt.Errorf("trace: reading binary header: %w", err)
 	}
 	s.meta.Name = string(name)
 	var fields [4]uint64
 	for i := range fields {
-		if fields[i], err = s.readUvarint(); err != nil {
-			s.err = fmt.Errorf("trace: reading binary header: %w", err)
-			return s.err
+		if fields[i], err = s.headerUvarint(); err != nil {
+			return fmt.Errorf("trace: reading binary header: %w", err)
 		}
 		if i < 3 && fields[i] >= vt.MaxID {
-			s.err = fmt.Errorf("trace: binary header field %d out of range (%d)", i, fields[i])
-			return s.err
+			return fmt.Errorf("trace: binary header field %d out of range (%d)", i, fields[i])
 		}
 	}
 	s.meta.Threads = int(fields[0])
@@ -241,15 +322,14 @@ func (s *BinaryScanner) header() error {
 // Next returns the next event. It reports ok == false at end of input
 // or on error; check Err afterwards.
 func (s *BinaryScanner) Next() (Event, bool) {
-	if err := s.header(); err != nil || s.read == s.total {
-		return Event{}, false
-	}
-	return s.decode()
+	var ev [1]Event
+	n, _ := s.NextBatch(ev[:])
+	return ev[0], n == 1
 }
 
 // NextBatch fills buf with up to len(buf) events; see
-// BatchSource.NextBatch for the contract. The header check and the
-// remaining-count test are hoisted out of the per-event loop.
+// BatchSource.NextBatch for the contract. Events are decoded straight
+// from the window, which is refilled whenever it ends inside one.
 func (s *BinaryScanner) NextBatch(buf []Event) (n int, ok bool) {
 	if err := s.header(); err != nil {
 		return 0, false
@@ -259,71 +339,22 @@ func (s *BinaryScanner) NextBatch(buf []Event) (n int, ok bool) {
 		want = int(rem)
 	}
 	for n < want {
-		ev, ok := s.decode()
-		if !ok {
+		k, used, err := DecodeEvents(buf[n:want], s.buf[s.pos:s.end])
+		s.pos += used
+		s.read += uint64(k)
+		n += k
+		if err == nil && n < want && s.eof {
+			err = s.short()
+		}
+		if err != nil {
+			s.err = fmt.Errorf("trace: event %d: %w", s.read, err)
 			break
 		}
-		buf[n] = ev
-		n++
-	}
-	return n, n > 0
-}
-
-// decode reads one event; the header must already be consumed and the
-// declared count not yet exhausted. The fast path — the whole event in
-// the window with single-byte identifiers, the overwhelmingly common
-// shape — decodes with three loads; anything else (long varints, a
-// window boundary, truncation) takes the checked per-byte path.
-func (s *BinaryScanner) decode() (Event, bool) {
-	if s.end-s.pos < maxEventEnc && !s.eof {
-		s.fill()
-	}
-	if b, p := s.buf, s.pos; s.end-p >= 3 {
-		if k, t, o := b[p], b[p+1], b[p+2]; t|o < 0x80 {
-			if Kind(k) >= numKinds {
-				s.err = fmt.Errorf("trace: event %d: invalid kind %d", s.read, k)
-				return Event{}, false
-			}
-			s.pos = p + 3
-			s.read++
-			return Event{T: vt.TID(t), Obj: int32(o), Kind: Kind(k)}, true
+		if n < want {
+			s.fill()
 		}
 	}
-	return s.decodeSlow()
-}
-
-// decodeSlow is decode's general path.
-func (s *BinaryScanner) decodeSlow() (Event, bool) {
-	kind, err := s.readByte()
-	if err != nil {
-		s.err = fmt.Errorf("trace: event %d: %w", s.read, err)
-		return Event{}, false
-	}
-	if Kind(kind) >= numKinds {
-		s.err = fmt.Errorf("trace: event %d: invalid kind %d", s.read, kind)
-		return Event{}, false
-	}
-	t, err := s.readUvarint()
-	if err != nil {
-		s.err = fmt.Errorf("trace: event %d: %w", s.read, err)
-		return Event{}, false
-	}
-	obj, err := s.readUvarint()
-	if err != nil {
-		s.err = fmt.Errorf("trace: event %d: %w", s.read, err)
-		return Event{}, false
-	}
-	// Identifiers index dense per-identifier state downstream; reject
-	// anything at or above the global id bound so a corrupt or hostile
-	// stream surfaces as a decode error, not a negative id or a huge
-	// allocation in a grow path.
-	const maxID = vt.MaxID - 1
-	if t > maxID || obj > maxID {
-		s.err = fmt.Errorf("trace: event %d: identifier out of range (thread %d, operand %d)", s.read, t, obj)
-		return Event{}, false
-	}
-	s.read++
-	return Event{T: vt.TID(t), Obj: int32(obj), Kind: Kind(kind)}, true
+	return n, n > 0
 }
 
 // Err returns the first error encountered, or nil at clean EOF.

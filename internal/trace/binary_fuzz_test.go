@@ -45,9 +45,12 @@ func drainSource(src EventSource) ([]Event, error) {
 }
 
 // FuzzBinaryScanner feeds arbitrary bytes through the binary scanner
-// two ways — the 64KB-window fast path and a one-byte-at-a-time reader
-// that forces every slow path — and requires that neither panics and
-// both agree on the decoded events and the failure.
+// two ways — whole, so events decode straight from the 64KB window, and
+// through a one-byte-at-a-time reader that ends the window inside
+// every event — and requires that neither panics and both agree on the
+// decoded events and the failure. An accepted stream has one spelling:
+// WriteBinary of what it decoded to is a prefix of it (bytes after the
+// declared events are never read).
 func FuzzBinaryScanner(f *testing.F) {
 	seed := fuzzSeedBinary(f)
 	f.Add(seed)
@@ -74,9 +77,14 @@ func FuzzBinaryScanner(f *testing.F) {
 	hostile = binary.AppendUvarint(hostile, 1<<30) // thread id
 	hostile = binary.AppendUvarint(hostile, 0)
 	f.Add(hostile)
+	// The same header, then an event whose operand 0 is spelled in two
+	// bytes: the only spelling of 0 is one zero byte.
+	overlong := append(bytes.Clone(hostile[:9]), byte(Write), 0, 0x80, 0x00)
+	f.Add(overlong)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, fastErr := drainSource(NewBinaryScanner(bytes.NewReader(data)))
+		s := NewBinaryScanner(bytes.NewReader(data))
+		fast, fastErr := drainSource(s)
 		slow, slowErr := drainSource(NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(data))))
 		if (fastErr == nil) != (slowErr == nil) {
 			t.Fatalf("decode paths disagree on failure: window=%v one-byte=%v", fastErr, slowErr)
@@ -90,6 +98,15 @@ func FuzzBinaryScanner(f *testing.F) {
 		for i := range fast {
 			if fast[i] != slow[i] {
 				t.Fatalf("event %d differs: window=%v one-byte=%v", i, fast[i], slow[i])
+			}
+		}
+		if fastErr == nil {
+			var out bytes.Buffer
+			if err := WriteBinary(&out, &Trace{Meta: s.Meta(), Events: fast}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, out.Bytes()) {
+				t.Fatalf("accepted stream re-encodes to %x, read from %x", out.Bytes(), data)
 			}
 		}
 	})
@@ -131,6 +148,10 @@ func TestBinaryScannerErrors(t *testing.T) {
 			`trace: event 0: identifier out of range (thread 8589934592, operand 0)`},
 		{"truncated event stream", seed[:len(seed)-3],
 			`trace: event 5: EOF`},
+		{"non-minimal operand", append(header(), byte(Write), 0, 0x80, 0x00),
+			`trace: event 0: trace: uvarint is not minimally encoded`},
+		{"non-minimal header field", append(binary.AppendUvarint([]byte("TCT1"), 0), 0x81, 0x00),
+			`trace: reading binary header: trace: uvarint is not minimally encoded`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

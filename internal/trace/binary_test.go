@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+
+	"treeclock/internal/vt"
 )
 
 // binarySample builds a small trace covering every event kind.
@@ -110,5 +114,65 @@ func TestBinaryPreservesSparseIDs(t *testing.T) {
 	}
 	if back.Events[0] != tr.Events[0] || back.Events[1] != tr.Events[1] {
 		t.Errorf("sparse ids not preserved: %+v", back.Events)
+	}
+}
+
+// TestBinaryEventBytes pins the encoding of single events. TCT1 files
+// and tcraced's events frame share it, so these bytes may not move.
+func TestBinaryEventBytes(t *testing.T) {
+	const top = vt.MaxID - 1 // the largest identifier: four uvarint bytes
+	for _, tc := range []struct {
+		ev   Event
+		want []byte
+	}{
+		{Event{T: 0, Obj: 0, Kind: Read}, []byte{0, 0, 0}},
+		{Event{T: 3, Obj: 7, Kind: Join}, []byte{5, 3, 7}},
+		{Event{T: 127, Obj: 127, Kind: Acquire}, []byte{2, 0x7f, 0x7f}},
+		{Event{T: 0, Obj: 150, Kind: Write}, []byte{1, 0, 0x96, 0x01}},
+		{Event{T: 299, Obj: 3, Kind: Read}, []byte{0, 0xab, 0x02, 3}},
+		{Event{T: top, Obj: top, Kind: Fork}, []byte{4, 0xff, 0xff, 0xff, 0x1f, 0xff, 0xff, 0xff, 0x1f}},
+	} {
+		var b bytes.Buffer
+		if err := WriteBinary(&b, &Trace{Events: []Event{tc.ev}}); err != nil {
+			t.Fatal(err)
+		}
+		// Magic, an empty name, three zero sizes and a count of one.
+		want := append([]byte("TCT1\x00\x00\x00\x00\x01"), tc.want...)
+		if !bytes.Equal(b.Bytes(), want) {
+			t.Errorf("%v encodes to % x, want % x", tc.ev, b.Bytes(), want)
+		}
+		back, err := ReadBinary(&b)
+		if err != nil || len(back.Events) != 1 || back.Events[0] != tc.ev {
+			t.Errorf("%v decodes to %v (err %v)", tc.ev, back, err)
+		}
+	}
+}
+
+// stallReader returns (0, nil) until it has been called 1,000 times,
+// then io.ErrUnexpectedEOF: a scanner that fails with anything else
+// has not given up on it in time.
+type stallReader struct{ calls int }
+
+func (r *stallReader) Read([]byte) (int, error) {
+	if r.calls++; r.calls > 1000 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return 0, nil
+}
+
+// TestBinaryScannerNoProgress pins that a reader stuck returning
+// (0, nil) fails the scan with io.ErrNoProgress, in the header and
+// between events, as it does for the text Scanner.
+func TestBinaryScannerNoProgress(t *testing.T) {
+	tr := binarySample(t)
+	var bin bytes.Buffer
+	if err := WriteBinary(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []int{0, bin.Len() / 2} {
+		r := io.MultiReader(bytes.NewReader(bin.Bytes()[:prefix]), &stallReader{})
+		if _, err := drainSource(NewBinaryScanner(r)); !errors.Is(err, io.ErrNoProgress) {
+			t.Errorf("stall after %d bytes: err = %v, want io.ErrNoProgress", prefix, err)
+		}
 	}
 }

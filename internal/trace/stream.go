@@ -409,7 +409,7 @@ func (s *Scanner) fill() {
 	if n > 0 {
 		s.empty = 0
 	} else if err == nil {
-		if s.empty++; s.empty >= 100 {
+		if s.empty++; s.empty >= maxEmptyReads {
 			s.err = fmt.Errorf("trace: %w", io.ErrNoProgress)
 			return
 		}

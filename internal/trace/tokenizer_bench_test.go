@@ -98,33 +98,39 @@ func BenchmarkTokenizerNextBatch(b *testing.B) {
 }
 
 // BenchmarkBinaryNextBatch is the binary-format counterpart, the
-// decode floor the text tokenizer is chasing.
+// decode floor the text tokenizer is chasing. It times both event
+// shapes: 4,096 variables, where most operands take two uvarint bytes,
+// and every identifier below 128, one byte each.
 func BenchmarkBinaryNextBatch(b *testing.B) {
-	var evs []Event
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 50_000; i++ {
-		evs = append(evs, Event{T: vt.TID(r.Intn(32)), Obj: int32(r.Intn(4096)), Kind: Write})
-	}
-	tr := &Trace{Meta: Meta{Threads: 32, Vars: 4096}, Events: evs}
-	var data bytes.Buffer
-	if err := WriteBinary(&data, tr); err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]Event, DefaultBatchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	done := 0
-	for done < b.N {
-		s := NewBinaryScanner(bytes.NewReader(data.Bytes()))
-		for {
-			n, ok := s.NextBatch(buf)
-			if !ok {
-				break
+	for _, vars := range []int{4096, 128} {
+		b.Run(fmt.Sprintf("vars=%d", vars), func(b *testing.B) {
+			var evs []Event
+			r := rand.New(rand.NewSource(42))
+			for i := 0; i < 50_000; i++ {
+				evs = append(evs, Event{T: vt.TID(r.Intn(32)), Obj: int32(r.Intn(vars)), Kind: Write})
 			}
-			done += n
-		}
-		if err := s.Err(); err != nil {
-			b.Fatal(err)
-		}
+			tr := &Trace{Meta: Meta{Threads: 32, Vars: vars}, Events: evs}
+			var data bytes.Buffer
+			if err := WriteBinary(&data, tr); err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]Event, DefaultBatchSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			done := 0
+			for done < b.N {
+				s := NewBinaryScanner(bytes.NewReader(data.Bytes()))
+				for {
+					n, ok := s.NextBatch(buf)
+					if !ok {
+						break
+					}
+					done += n
+				}
+				if err := s.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -62,44 +62,6 @@ func LoadTID(d *ckpt.Dec) TID {
 	return TID(t)
 }
 
-// Save implements Clock for Sparse in materialized form: the sparse
-// clock serves engines as the weak transport (whose state travels
-// through the store, SaveWeak and SaveSnap below), never as the strong
-// backbone, so its Clock-contract checkpoint does not need to preserve
-// segment sharing.
-func (c *Sparse) Save(e *ckpt.Enc) {
-	// The count must be a plain uvarint: Load reads it with Len. (An
-	// earlier version wrote it with Int — zigzag — which doubles every
-	// nonnegative count on the wire; tcvet's ckptsym analyzer now
-	// rejects that mismatch statically.)
-	e.Uvarint(uint64(c.n))
-	e.U64(c.rev)
-	for t := 0; t < c.n; t++ {
-		e.Svarint(int64(c.Get(TID(t))))
-	}
-}
-
-// Load implements Clock for Sparse.
-func (c *Sparse) Load(d *ckpt.Dec) {
-	n := d.Len(1)
-	rev := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	p := c.pl()
-	for _, r := range c.segs {
-		p.release(r)
-	}
-	c.segs = make([]segRef, (n+segMask)>>segShift)
-	c.n = n
-	for t := 0; t < n; t++ {
-		if v := Time(d.Int32()); v != 0 {
-			c.writable(t >> segShift).vals[t&segMask] = v
-		}
-	}
-	c.rev = rev
-}
-
 // SaveWeak implements WeakClock for FlatWeak: length, capacity (Heap
 // reads cap) and entries.
 func (w *FlatWeak) SaveWeak(e *ckpt.Enc) {
